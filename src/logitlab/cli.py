@@ -133,7 +133,17 @@ def _cmd_manipulate(args) -> int:
     return EXIT_OK
 
 
+def _admissible(n: int, beta: float, case: str, branch: str) -> bool:
+    """surrogate.admissible, with a beta at a pole counted as inadmissible."""
+    try:
+        return surrogate.admissible(surrogate.SurrogateSpec(n, beta, case, branch))
+    except surrogate.DomainError:
+        return False
+
+
 def _cmd_analytic(args) -> int:
+    if not args.beta_step > 0:
+        raise UsageError(f"--beta-step must be > 0, got {args.beta_step}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -153,16 +163,14 @@ def _cmd_analytic(args) -> int:
             _csv(out / "loss_surface.csv", "beta_correct,beta_wrong,loss", rows)
         )
     if args.shrinkage:
+        ok_c = [_admissible(n, float(bc), "correct", args.branch) for bc in grid_c]
+        ok_w = [_admissible(n, float(bw), "misclassified", args.branch) for bw in grid_w]
         rows = []
-        for bc in grid_c:
-            for bw in grid_w:
+        for bc, bc_ok in zip(grid_c, ok_c):
+            for bw, bw_ok in zip(grid_w, ok_w):
                 try:
                     params = surrogate.MeanFieldParams(float(bc), float(bw), n, args.error_rate)
-                    ok_c = surrogate.admissible(
-                        surrogate.SurrogateSpec(n, float(bc), "correct", args.branch))
-                    ok_w = surrogate.admissible(
-                        surrogate.SurrogateSpec(n, float(bw), "misclassified", args.branch))
-                    if not (ok_c and ok_w):
+                    if not (bc_ok and bw_ok):
                         raise surrogate.DomainError("inadmissible")
                     val = surrogate.gap_shrinkage(
                         surrogate.GapShiftInput(params, args.epsilon, 1.0, 1.0),

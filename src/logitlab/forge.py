@@ -121,6 +121,6 @@ def apply_manipulation(
         if labels is None:
             raise ValidationError("correct_fix_1 requires labels")
         return correct_fix_1(m, labels)
-    if labels is None and index_source is None:
+    if index_source is None:
         raise ValidationError("hybrid requires an index-source matrix")
     return hybrid_merge(m, index_source)

@@ -2,8 +2,9 @@
 
 Capacity is estimated by drawing Gaussian vectors T = (t, t0) in each
 manifold's subspace coordinates (center direction appended as the last
-coordinate), solving for the anchor point s_tilde via the dual nonnegative
-quadratic program of min ||V - T||^2 s.t. V.(s, 1) <= -kappa, and averaging
+coordinate), solving for the anchor point s_tilde via the dual of
+min ||V - T||^2 s.t. V.(s, 1) <= -kappa, a nonnegative least-squares problem
+(Lawson-Hanson NNLS), and averaging
 [t0 + t.s_tilde]_+^2 / (1 + ||s_tilde||^2) over draws and manifolds. The
 manifold radius R_M, dimension D_M, center correlation rho_center, the
 alpha_Ball/alpha_Point quadratures, center null-space projection, and an
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .rng import substream
 
@@ -65,59 +66,6 @@ class MftmaResult:
 INTERIOR = None  # sentinel anchor for draws with no active constraint
 
 
-def _kkt_ok(g: np.ndarray, b: np.ndarray, a: np.ndarray) -> bool:
-    grad = g @ a - b
-    gap = abs(2.0 * float(a @ grad))
-    dual_feas = float(np.maximum(-grad, 0.0).max(initial=0.0))
-    return a.min(initial=0.0) >= 0.0 and gap < 1e-10 and dual_feas < 1e-9
-
-
-def _polish(g: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray | None:
-    """Exact solve on the current support; accepted only if KKT holds."""
-    grad = g @ a - b
-    support = np.flatnonzero((a > 1e-10) | (grad < -1e-10))
-    if support.size == 0:
-        return a if _kkt_ok(g, b, a) else None
-    sub = np.linalg.lstsq(g[np.ix_(support, support)], b[support], rcond=None)[0]
-    if sub.min() < 0.0:
-        return None
-    cand = np.zeros_like(a)
-    cand[support] = sub
-    return cand if _kkt_ok(g, b, cand) else None
-
-
-def _nnqp(g: np.ndarray, b: np.ndarray, max_iter: int = 100_000) -> np.ndarray:
-    """min 0.5 a'Ga - a'b over a >= 0.
-
-    FISTA projected gradient with a periodic exact polish on the active
-    support; converged when the duality gap is below 1e-10.
-    """
-    m = g.shape[0]
-    lip = float(np.linalg.eigvalsh(g)[-1])
-    if lip <= 0:
-        return np.zeros(m)
-    step = 1.0 / lip
-    a = np.zeros(m)
-    v = a.copy()
-    t = 1.0
-    for it in range(max_iter):
-        grad_v = g @ v - b
-        a_new = np.maximum(v - step * grad_v, 0.0)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        v = a_new + (t - 1.0) / t_new * (a_new - a)
-        a, t = a_new, t_new
-        if _kkt_ok(g, b, a):
-            return a
-        if (it + 1) % 50 == 0:
-            cand = _polish(g, b, a)
-            if cand is not None:
-                return cand
-    grad = g @ a - b
-    raise MftmaError(
-        f"anchor QP did not converge; duality gap {abs(2.0 * float(a @ grad)):.3e}"
-    )
-
-
 def anchor_point(
     cloud: np.ndarray, t: np.ndarray, t0: float, kappa: float = 0.0
 ) -> tuple:
@@ -134,10 +82,14 @@ def anchor_point(
     m = cloud.shape[0]
     s_emb = np.hstack([cloud, np.ones((m, 1))])      # M x (D+1)
     t_emb = np.append(t, t0)
-    b = s_emb @ t_emb + kappa
-    if np.all(b <= 0.0):
+    if np.all(s_emb @ t_emb + kappa <= 0.0):
         return INTERIOR, np.zeros(m)
-    a = _nnqp(s_emb @ s_emb.T, b)
+    # The dual min 0.5 a'SS'a - a'(S T + kappa) over a >= 0 is the NNLS
+    # problem min ||S'a - (t, t0 + kappa)||, because S's last column is ones.
+    try:
+        a, _ = nnls(s_emb.T, np.append(t, t0 + kappa))
+    except RuntimeError as e:
+        raise MftmaError(f"anchor NNLS did not converge: {e}") from e
     total = a.sum()
     if total <= 0.0:
         return INTERIOR, np.zeros(m)

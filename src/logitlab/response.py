@@ -5,19 +5,22 @@ target logits Z_tilde (plus small Gaussian noise sigma0*W) by linear readout
 of input features X: omega = [X^T X - lambda* I]^{-1} X^T (Z_tilde - sigma0 W)
 with the Lagrange multiplier lambda* pinned by a trace equation. From the
 closed-form solution we get per-sample Jacobians, their Gram matrices, and
-the first-order logit response to a gradient-direction (FGSM) attack.
+the first-order logit response to a gradient-direction (FGSM) attack. All of
+them come from one eigendecomposition of the smaller Gram matrix, X^T X or
+X X^T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .rng import substream
-from .stats import softmax
-from .store import LabelVector
+from .stats import logit_gaps, softmax
+from .store import LabelVector, LogitMatrix
 from .surrogate import (
     GapShiftInput,
     MeanFieldParams,
@@ -29,6 +32,22 @@ from .surrogate import (
 
 class ResponseError(Exception):
     pass
+
+
+@dataclass(frozen=True)
+class GramSpectrum:
+    """Eigendecomposition of the smaller Gram matrix of X.
+
+    d and v are the eigenvalues and eigenvectors of X^T X when n_data >=
+    n_feats, and of X X^T otherwise (wide). xv is X V on the range of X^T:
+    X v, or v sqrt(d) in the wide case, where the other n_feats - n_data
+    eigenvalues of X^T X are zero and X maps their directions to zero.
+    """
+
+    d: np.ndarray
+    v: np.ndarray
+    xv: np.ndarray
+    wide: bool
 
 
 @dataclass(frozen=True)
@@ -57,6 +76,17 @@ class ResponseProblem:
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Z_tilde", z)
 
+    @cached_property
+    def spectrum(self) -> GramSpectrum:
+        """X's Gram spectrum, computed on first use; lambda*, omega, the
+        Jacobians and the attack response are all derived from it."""
+        x = self.X
+        if x.shape[0] >= x.shape[1]:
+            d, v = np.linalg.eigh(x.T @ x)
+            return GramSpectrum(d, v, x @ v, wide=False)
+        d, u = np.linalg.eigh(x @ x.T)
+        return GramSpectrum(d, u, u * np.sqrt(np.maximum(d, 0.0)), wide=True)
+
 
 @dataclass(frozen=True)
 class FyodorovSolution:
@@ -65,29 +95,38 @@ class FyodorovSolution:
     W: np.ndarray           # N_data x N_classes
 
 
-def _gram_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d, v = np.linalg.eigh(x.T @ x)
-    return d, v
+def _resolvent_xt(problem: ResponseProblem, lam: float, y: np.ndarray) -> np.ndarray:
+    """R X^T y with the resolvent R = [X^T X - lam I]^{-1}."""
+    spec = problem.spectrum
+    scale = (1.0 / (spec.d - lam))[:, None]
+    if spec.wide:  # push-through: R X^T = X^T [X X^T - lam I]^{-1}
+        return problem.X.T @ (spec.v @ (scale * (spec.v.T @ y)))
+    return spec.v @ (scale * (spec.xv.T @ y))
 
 
-def solve_lambda_star(problem: ResponseProblem, W: np.ndarray) -> float:
+def _omega_factor(problem: ResponseProblem, lam: float) -> np.ndarray:
+    """Q with Omega(X, lambda*) = X R R X^T = Q Q^T, N_data x rank."""
+    return problem.spectrum.xv / (problem.spectrum.d - lam)
+
+
+def solve_lambda_star(problem: ResponseProblem) -> float:
     """Root of the norm-constraint trace equation on the branch where the
     resolvent is positive definite (lambda < lambda_min(X^T X))."""
-    x, z = problem.X, problem.Z_tilde
-    n_data, n_feats = x.shape
+    z, spec = problem.Z_tilde, problem.spectrum
+    n_feats = problem.X.shape[1]
     n_classes = z.shape[1]
     target = problem.c**2 * n_feats * n_classes
-    d, v = _gram_eig(x)
-    # trace(X R^2 X^T S) = sum_i (Xv_i)^T S (Xv_i) / (d_i - lam)^2
-    xv = x @ v
-    zt = z - 0.0  # S = Z~Z~^T + sigma0^2 I applied factor-wise
-    szv = zt @ (zt.T @ xv) + problem.sigma0**2 * xv
+    d, xv = spec.d, spec.xv
+    # trace(X R^2 X^T S) = sum_i (Xv_i)^T S (Xv_i) / (d_i - lam)^2 with
+    # S = Z~Z~^T + sigma0^2 I applied factor-wise
+    szv = z @ (z.T @ xv) + problem.sigma0**2 * xv
     m = np.einsum("ij,ij->j", xv, szv)
 
     def trace_gap(lam: float) -> float:
         return float(np.sum(m / (d - lam) ** 2) - target)
 
-    hi = d.min() - 1e-8
+    # a wide X leaves X^T X with zero eigenvalues outside d
+    hi = (0.0 if spec.wide else d.min()) - 1e-8
     lo = -1e6
     f_lo, f_hi = trace_gap(lo), trace_gap(hi)
     if f_lo > 0 or f_hi < 0:
@@ -101,22 +140,17 @@ def solve_lambda_star(problem: ResponseProblem, W: np.ndarray) -> float:
 
 def fyodorov_omega(problem: ResponseProblem) -> FyodorovSolution:
     """Seeded noise draw, multiplier solve, and the closed-form readout."""
-    x, z = problem.X, problem.Z_tilde
+    z = problem.Z_tilde
     rng = substream(problem.seed, 0)
     w = rng.standard_normal(z.shape)
-    lam = solve_lambda_star(problem, w)
-    gram = x.T @ x - lam * np.eye(x.shape[1])
-    try:
-        omega = np.linalg.solve(gram, x.T @ (z - problem.sigma0 * w))
-    except np.linalg.LinAlgError as e:
-        raise ResponseError(f"singular resolvent at lambda*={lam}") from e
+    lam = solve_lambda_star(problem)
+    omega = _resolvent_xt(problem, lam, z - problem.sigma0 * w)
     return FyodorovSolution(omega=omega, lambda_star=lam, W=w)
 
 
-def _resolvent(problem: ResponseProblem, sol: FyodorovSolution) -> np.ndarray:
-    x = problem.X
-    gram = x.T @ x - sol.lambda_star * np.eye(x.shape[1])
-    return np.linalg.inv(gram)
+def _check_sample(problem: ResponseProblem, mu: int) -> None:
+    if not (0 <= mu < problem.X.shape[0]):
+        raise ResponseError(f"sample index {mu} out of range")
 
 
 def jacobian_block(
@@ -127,31 +161,59 @@ def jacobian_block(
     Entry (m, j) = (R X^T)_{j mu} z~^mu_m + (Z~^T X R)_{m j}, with the
     resolvent R = [X^T X - lambda* I]^{-1} held fixed.
     """
-    x, z = problem.X, problem.Z_tilde
-    if not (0 <= mu < x.shape[0]):
-        raise ResponseError(f"sample index {mu} out of range")
-    r = _resolvent(problem, sol)
-    rx = r @ x.T                      # N_feats x N_data
-    return np.outer(z[mu], rx[:, mu]) + z.T @ x @ r
+    z = problem.Z_tilde
+    _check_sample(problem, mu)
+    e_mu = np.zeros((z.shape[0], 1))
+    e_mu[mu] = 1.0
+    rxt = _resolvent_xt(problem, sol.lambda_star, np.hstack([e_mu, z]))
+    return np.outer(z[mu], rxt[:, 0]) + rxt[:, 1:].T
 
 
 def jj_transpose(
     sol: FyodorovSolution, problem: ResponseProblem, mu: int
 ) -> np.ndarray:
     """Gram matrix Jac^mu (Jac^mu)^T via the four-term closed form."""
-    x, z = problem.X, problem.Z_tilde
-    if not (0 <= mu < x.shape[0]):
-        raise ResponseError(f"sample index {mu} out of range")
-    r = _resolvent(problem, sol)
-    omega_mat = x @ r @ r @ x.T        # N_data x N_data
-    b_mu = z.T @ omega_mat[:, mu]      # N_classes
+    z = problem.Z_tilde
+    _check_sample(problem, mu)
+    q = _omega_factor(problem, sol.lambda_star)
+    qz = q.T @ z
+    b_mu = qz.T @ q[mu]                # Z~^T Omega[:, mu]
     zm = z[mu]
     return (
-        omega_mat[mu, mu] * np.outer(zm, zm)
-        + z.T @ omega_mat @ z
+        float(q[mu] @ q[mu]) * np.outer(zm, zm)
+        + qz.T @ qz
         + np.outer(zm, b_mu)
         + np.outer(b_mu, zm)
     )
+
+
+def _attack(
+    sol: FyodorovSolution, problem: ResponseProblem
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Omega factor Q, and for every sample JJ^T_mu g_mu and zeta_mu.
+
+    g_mu = softmax(z~^mu) - y^mu is the attack gradient and JJ^T_mu g_mu =
+    Omega_mumu z_mu (z_mu.g) + Z~^T Omega Z~ g + z_mu (b_mu.g) + b_mu (z_mu.g)
+    with b_mu = Z~^T Omega[:, mu]; zeta_mu = 1/sqrt(g^T JJ^T_mu g), or 0 where
+    that form vanishes.
+    """
+    z = problem.Z_tilde
+    g = softmax(z) - np.eye(z.shape[1])[problem.labels.labels]
+    q = _omega_factor(problem, sol.lambda_star)
+    qz = q.T @ z
+    b = q @ qz                         # row mu is b_mu
+    zg = np.einsum("ij,ij->i", z, g)
+    jjg = (
+        (np.einsum("ij,ij->i", q, q) * zg)[:, None] * z
+        + g @ (qz.T @ qz)
+        + np.einsum("ij,ij->i", b, g)[:, None] * z
+        + zg[:, None] * b
+    )
+    quad = np.einsum("ij,ij->i", g, jjg)
+    pos = quad > 0.0
+    zeta = np.zeros_like(quad)
+    zeta[pos] = 1.0 / np.sqrt(quad[pos])
+    return q, jjg, zeta
 
 
 def fgsm_logit_response(
@@ -163,37 +225,8 @@ def fgsm_logit_response(
     zeta_mu = 1/sqrt(g^T JJ^T g). Samples with zero attack gradient get a
     zero row.
     """
-    x, z = problem.X, problem.Z_tilde
-    n_data, n_classes = z.shape
-    out = np.zeros_like(z)
-    if problem.epsilon == 0.0:
-        return out
-    y = np.eye(n_classes)[problem.labels.labels]
-    probs = softmax(z)
-    r = _resolvent(problem, sol)
-    omega_mat = x @ r @ r @ x.T
-    bz = omega_mat @ z                 # row mu is B_mu^T
-    zoz = z.T @ omega_mat @ z
-    for mu in range(n_data):
-        g = probs[mu] - y[mu]
-        zm = z[mu]
-        jj = (
-            omega_mat[mu, mu] * np.outer(zm, zm)
-            + zoz
-            + np.outer(zm, bz[mu])
-            + np.outer(bz[mu], zm)
-        )
-        jjg = jj @ g
-        quad = float(g @ jjg)
-        if quad <= 0.0:
-            continue
-        out[mu] = problem.epsilon * jjg / np.sqrt(quad)
-    return out
-
-
-def _top_two_gap(row: np.ndarray) -> float:
-    part = np.partition(row, row.size - 2)
-    return float(part[-1] - part[-2])
+    _, jjg, zeta = _attack(sol, problem)
+    return problem.epsilon * zeta[:, None] * jjg
 
 
 def gap_shift_experiment(
@@ -213,6 +246,8 @@ def gap_shift_experiment(
     and returns (predicted shrinkage, measured mean gap change over
     correctly classified samples, measured std).
     """
+    if n_data < 1 or n_feats < 1:
+        raise ResponseError("n_data and n_feats must be >= 1")
     n = params.n_classes
     rng = substream(seed, 1)
     x = rng.standard_normal((n_data, n_feats))
@@ -221,13 +256,12 @@ def gap_shift_experiment(
     n_wrong = int(round(params.error_rate * n_data))
     labels = rng.integers(0, n, size=n_data)
     z = np.empty((n_data, n))
-    correct_mask = np.ones(n_data, dtype=bool)
+    correct_mask = np.arange(n_data) >= n_wrong
     spec_c = SurrogateSpec(n, params.beta_correct, "correct", branch)
     spec_w = SurrogateSpec(n, params.beta_wrong, "misclassified", branch)
     for i in range(n_data):
         lab = int(labels[i])
         if i < n_wrong:
-            correct_mask[i] = False
             arg = int((lab + 1 + rng.integers(0, n - 1)) % n)
             z[i] = surrogate_logit(spec_w, lab, arg)
         else:
@@ -238,35 +272,20 @@ def gap_shift_experiment(
         sigma0=sigma0, c=c, epsilon=epsilon, seed=seed,
     )
     sol = fyodorov_omega(problem)
-    dz = fgsm_logit_response(sol, problem)
+    q, jjg, zeta = _attack(sol, problem)
+    dz = epsilon * zeta[:, None] * jjg
 
-    gaps_before = np.array([_top_two_gap(z[i]) for i in range(n_data)])
-    gaps_after = np.array([_top_two_gap(z[i] + dz[i]) for i in range(n_data)])
+    gaps_before = logit_gaps(LogitMatrix(z))
+    gaps_after = logit_gaps(LogitMatrix(z + dz))
     change = gaps_after[correct_mask] - gaps_before[correct_mask]
     measured_mean = float(change.mean()) if change.size else 0.0
     measured_std = float(change.std()) if change.size else 0.0
 
-    # Omega aggregation: row-mu sums of Omega(X, lambda*) over correctly and
-    # incorrectly labeled nu, scaled by epsilon*zeta_mu and averaged over mu.
-    r = _resolvent(problem, sol)
-    omega_mat = x @ r @ r @ x.T
-    probs = softmax(z)
-    y = np.eye(n)[labels]
-    zeta = np.zeros(n_data)
-    bz = omega_mat @ z
-    zoz = z.T @ omega_mat @ z
-    for mu in range(n_data):
-        g = probs[mu] - y[mu]
-        jj = (
-            omega_mat[mu, mu] * np.outer(z[mu], z[mu])
-            + zoz
-            + np.outer(z[mu], bz[mu])
-            + np.outer(bz[mu], z[mu])
-        )
-        quad = float(g @ jj @ g)
-        zeta[mu] = 1.0 / np.sqrt(quad) if quad > 0 else 0.0
-    sum_correct = omega_mat[:, correct_mask].sum(axis=1)
-    sum_wrong = omega_mat[:, ~correct_mask].sum(axis=1)
+    # Omega aggregation: row-mu sums of Omega(X, lambda*) = Q Q^T over
+    # correctly and incorrectly labeled nu, scaled by epsilon*zeta_mu and
+    # averaged over mu.
+    sum_correct = q @ q[correct_mask].sum(axis=0)
+    sum_wrong = q @ q[~correct_mask].sum(axis=0)
     eps_err = params.error_rate
     w_c = epsilon * np.mean(zeta * sum_correct)
     w_w = epsilon * np.mean(zeta * sum_wrong)

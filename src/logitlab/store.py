@@ -200,11 +200,15 @@ def _load_binary(path: Path) -> LogitMatrix:
     return LogitMatrix(vals.astype(np.float64))
 
 
-def _load_text(path: Path) -> LogitMatrix:
+def _read_text(path: Path) -> str:
     try:
-        lines = path.read_text().splitlines()
+        return path.read_text()
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e
+
+
+def _load_text(path: Path) -> LogitMatrix:
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     head = lines[0].split(",")
@@ -240,7 +244,7 @@ def store_labels(labels: LabelVector, path: str | Path) -> None:
 def load_labels(path: str | Path) -> LabelVector:
     path = Path(path)
     vals = []
-    for i, ln in enumerate(path.read_text().splitlines()):
+    for i, ln in enumerate(_read_text(path).splitlines()):
         if not ln.strip():
             continue
         try:
@@ -257,7 +261,7 @@ def store_flags(flags: RobustFlags, path: str | Path) -> None:
 def load_flags(path: str | Path) -> RobustFlags:
     path = Path(path)
     vals = []
-    for i, ln in enumerate(path.read_text().splitlines()):
+    for i, ln in enumerate(_read_text(path).splitlines()):
         if not ln.strip():
             continue
         tok = ln.strip()

@@ -428,7 +428,6 @@ def mean_field_loss_surface(
     either beta is inadmissible for its case."""
     grid_correct = np.asarray(grid_correct, dtype=np.float64)
     grid_wrong = np.asarray(grid_wrong, dtype=np.float64)
-    out = np.full((grid_correct.size, grid_wrong.size), np.nan)
     loss_c = np.full(grid_correct.size, np.nan)
     loss_w = np.full(grid_wrong.size, np.nan)
     for i, bc in enumerate(grid_correct):
@@ -445,11 +444,8 @@ def mean_field_loss_surface(
                 loss_w[j] = exact_ce(surrogate_logit(spec, 1, 0), 1)
         except DomainError:
             pass
-    for i in range(grid_correct.size):
-        for j in range(grid_wrong.size):
-            if np.isfinite(loss_c[i]) and np.isfinite(loss_w[j]):
-                out[i, j] = (1.0 - error_rate) * loss_c[i] + error_rate * loss_w[j]
-    return out
+    # an inadmissible beta's NaN spreads over its whole row or column
+    return (1.0 - error_rate) * loss_c[:, None] + error_rate * loss_w[None, :]
 
 
 def gap_shrinkage(inp: GapShiftInput, branch: str = "plus") -> float:

@@ -176,3 +176,22 @@ def test_cli_reproducible_responses(tmp_path):
                     "--seed", "11", "--out", str(out)) == 0
         outs.append((out / "gap_shift.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["response", "--n-data", "0"], 4, "n_data and n_feats must be >= 1"),
+    (["response", "--n-feats", "0"], 4, "n_data and n_feats must be >= 1"),
+    (["analytic", "--surface", "--beta-step", "0"], 2, "--beta-step must be > 0"),
+    (["manipulate", "--logits", "{d}/m.lgt", "--kind", "hybrid", "--labels", "{d}/y.txt"],
+     3, "hybrid requires an index-source matrix"),
+    (["stats", "--logits", "{d}/m.lgt", "--labels", "{d}"], 3, "cannot read"),
+    (["stats", "--logits", "{d}/m.lgt", "--flags", "{d}"], 3, "cannot read"),
+], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
+        "hybrid_without_index_source", "labels_directory", "flags_directory"])
+def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
+    d = dataset[0]
+    argv = [a.format(d=d) for a in argv] + ["--out", str(d / "out")]
+    assert _run(*argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert "Traceback" not in err

@@ -232,3 +232,33 @@ def test_manifold_set_validation():
         mf.ManifoldSet((np.zeros((2, 3)), np.zeros((2, 4))))
     with pytest.raises(mf.MftmaError):
         mf.ManifoldSet((np.array([[np.nan, 1.0]]),))
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0])
+def test_anchor_kkt_oracle_with_margin(kappa):
+    # KKT of min ||V - T||^2 s.t. S V <= -kappa: a >= 0, V = T - S^T a,
+    # primal feasibility and complementary slackness, point by point
+    rng = np.random.default_rng(21)
+    anchors = 0
+    for trial in range(60):
+        m, d = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        cloud = rng.standard_normal((m, d))
+        t = rng.standard_normal(d)
+        t0 = float(rng.standard_normal())
+        s_emb = np.hstack([cloud, np.ones((m, 1))])
+        t_emb = np.append(t, t0)
+        s, w = mf.anchor_point(cloud, t, t0, kappa)
+        if s is mf.INTERIOR:
+            assert np.all(s_emb @ t_emb + kappa <= 0.0)  # T itself is feasible
+            continue
+        anchors += 1
+        anchor = np.append(s, 1.0)
+        assert np.abs(s_emb.T @ w - anchor).max() < 1e-12
+        # the scale of a = total * w follows from sum_i a_i (S_i.V + kappa) = 0
+        total = (t_emb @ anchor + kappa) / (anchor @ anchor)
+        a = total * w
+        assert a.min() >= 0.0
+        slack = s_emb @ (t_emb - s_emb.T @ a) + kappa
+        assert slack.max() <= 1e-9
+        assert np.abs(a * slack).max() <= 1e-9
+    assert anchors > 0

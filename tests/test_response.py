@@ -48,7 +48,6 @@ def test_lambda_star_orthonormal_closed_form():
     # is impossible while keeping columns orthonormal, so test the solver
     # directly on the unnormalized design
     z = rng.standard_normal((n_data, n_classes))
-    w = np.zeros((n_data, n_classes))
     sigma0 = 1e-3
     labels = LabelVector(np.zeros(n_data, dtype=int))
     p = rp.ResponseProblem.__new__(rp.ResponseProblem)
@@ -59,7 +58,7 @@ def test_lambda_star_orthonormal_closed_form():
     object.__setattr__(p, "c", 1.0)
     object.__setattr__(p, "epsilon", 0.0)
     object.__setattr__(p, "seed", 0)
-    lam = rp.solve_lambda_star(p, w)
+    lam = rp.solve_lambda_star(p)
     tr0 = np.trace(q @ q.T @ (z @ z.T + sigma0**2 * np.eye(n_data)))
     expect = 1.0 - np.sqrt(tr0 / (n_feats * n_classes))
     assert lam == pytest.approx(expect, rel=1e-9)
@@ -67,21 +66,19 @@ def test_lambda_star_orthonormal_closed_form():
 
 def test_lambda_star_monotone_in_c():
     p = _problem()
-    sol = rp.fyodorov_omega(p)
     lams = []
     for c in (0.5, 1.0, 2.0):
         q = rp.ResponseProblem(X=p.X, Z_tilde=p.Z_tilde, labels=p.labels,
                                sigma0=p.sigma0, c=c, epsilon=0.1, seed=p.seed)
-        lams.append(rp.solve_lambda_star(q, sol.W))
+        lams.append(rp.solve_lambda_star(q))
     assert lams[0] < lams[1] < lams[2]
 
 
 def test_lambda_star_bracket_error():
     # absurdly small c makes the target unreachable from below
     p = _problem(c=1e-9)
-    rng = np.random.default_rng(2)
     with pytest.raises(rp.ResponseError, match="trace range"):
-        rp.solve_lambda_star(p, rng.standard_normal(p.Z_tilde.shape))
+        rp.solve_lambda_star(p)
 
 
 # ---------- omega ----------
@@ -231,3 +228,67 @@ def test_gap_shift_negative_and_reproducible():
     pred, mean, _ = out1
     assert mean < 0
     assert pred < 0
+
+
+# ---------- wide and square designs ----------
+
+# (n_data, n_feats, c): a wide X leaves X^T X singular and takes the X X^T
+# eigendecomposition; c is set so that lambda* exists on each design.
+DESIGNS = [(12, 30, 0.5), (16, 16, 1.0)]
+DESIGN_IDS = ["wide_12x30", "square_16x16"]
+
+
+@pytest.mark.parametrize("n_data,n_feats,c", DESIGNS, ids=DESIGN_IDS)
+def test_spectral_state_oracles_on_wide_and_square_designs(n_data, n_feats, c):
+    p = _problem(n_data=n_data, n_feats=n_feats, c=c, sigma0=1e-12)
+    sol = rp.fyodorov_omega(p)
+    x, z = p.X, p.Z_tilde
+    n_classes = z.shape[1]
+    gram = x.T @ x - sol.lambda_star * np.eye(n_feats)
+    r = np.linalg.inv(gram)
+    # lambda* solves the trace equation
+    tr = np.trace(x @ r @ r @ x.T @ (z @ z.T + p.sigma0**2 * np.eye(n_data)))
+    target = p.c**2 * n_feats * n_classes
+    assert abs(tr - target) / target < 1e-8
+    # omega is the direct solve
+    direct = np.linalg.solve(gram, x.T @ (z - p.sigma0 * sol.W))
+    assert np.abs(sol.omega - direct).max() < 1e-10
+    for mu in (0, n_data - 1):
+        # Jacobian against central differences of x^mu -> Z~^T X R x^mu
+        jac = rp.jacobian_block(sol, p, mu)
+        h = 1e-6
+        fd = np.zeros_like(jac)
+        for j in range(n_feats):
+            xp = x.copy(); xp[mu, j] += h
+            xm = x.copy(); xm[mu, j] -= h
+            fd[:, j] = (z.T @ xp @ r @ xp[mu] - z.T @ xm @ r @ xm[mu]) / (2 * h)
+        assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) < 1e-5
+        jj = rp.jj_transpose(sol, p, mu)
+        assert np.abs(jj - jac @ jac.T).max() < 1e-10
+        assert np.abs(jj - jj.T).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_data,n_feats,c", [(20, 8, 1.0)] + DESIGNS, ids=["tall_20x8"] + DESIGN_IDS
+)
+def test_fgsm_rows_match_jj_transpose_for_every_sample(n_data, n_feats, c):
+    p = _problem(n_data=n_data, n_feats=n_feats, c=c, eps=0.1)
+    sol = rp.fyodorov_omega(p)
+    dz = rp.fgsm_logit_response(sol, p)
+    y = np.eye(p.Z_tilde.shape[1])[p.labels.labels]
+    g = softmax(p.Z_tilde) - y
+    for mu in range(n_data):
+        jj = rp.jj_transpose(sol, p, mu)
+        expect = p.epsilon * jj @ g[mu] / np.sqrt(g[mu] @ jj @ g[mu])
+        assert np.allclose(dz[mu], expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_data,n_feats,expect", [
+    (200, 100, (-0.6060773719320257, -1.1778354358450778, 0.09854244726470314)),
+    (100, 200, (-1.3094811293805277, -1.588595820050455, 0.09444254717119166)),
+], ids=["tall_200x100", "wide_100x200"])
+def test_gap_shift_pinned_values(n_data, n_feats, expect):
+    # values from the resolvent-inverse implementation this module replaced
+    params = sg.MeanFieldParams(5.0, 5.0, 10, 0.2)
+    out = rp.gap_shift_experiment(params, n_data, n_feats, 0.1, seed=0)
+    assert out == pytest.approx(expect, rel=1e-12, abs=0.0)
