@@ -219,7 +219,8 @@ def _cmd_response(args) -> int:
 def _cmd_mftma(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    files = [ln.strip() for ln in Path(args.manifolds).read_text().splitlines() if ln.strip()]
+    listing = store._read_text(Path(args.manifolds))
+    files = [ln.strip() for ln in listing.splitlines() if ln.strip()]
     if not files:
         raise store.ParseError(f"{args.manifolds}: empty manifold manifest")
     base = Path(args.manifolds).parent

@@ -1,6 +1,6 @@
 """Manipulated distillation-target generators.
 
-Each transform rewrites a logit matrix row by row while preserving a stated
+Each transform rewrites every row of a logit matrix while preserving a stated
 invariant: fix-k permute shuffles the bottom values, fix-k average flattens
 them, correct-fix-1 swaps the predicted and true classes, and hybrid merge
 reassigns one matrix's sorted values onto another matrix's class ranking.
@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .rng import substream
+from .stats import descending_order
 from .store import LabelVector, LogitMatrix, ValidationError
 
 
@@ -33,42 +34,36 @@ class ManipulationSpec:
             raise ValidationError("fix_k_permute requires a seed")
 
 
-def _top_k_mask(row: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the k largest entries; ties keep the lower class index."""
-    n = row.size
-    # descending value, ascending index on ties
-    order = np.lexsort((np.arange(n), -row))
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:k]] = True
-    return mask
+def _bottom(m: LogitMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of each row's entries outside its top k (ties keep the lower class
+    index in the top k), and those entries as an (n, c-k) table in column order."""
+    if not (1 <= k <= m.cols):
+        raise ValidationError(f"k must be in [1, {m.cols}], got {k}")
+    bottom = np.ones(m.values.shape, dtype=bool)
+    np.put_along_axis(bottom, descending_order(m.values)[:, :k], False, axis=1)
+    return bottom, m.values[bottom].reshape(m.rows, m.cols - k)
 
 
 def fix_k_permute(m: LogitMatrix, k: int, seed: int) -> LogitMatrix:
     """Keep each row's top-k values in place; permute the rest uniformly."""
-    if not (1 <= k <= m.cols):
-        raise ValidationError(f"k must be in [1, {m.cols}], got {k}")
-    out = m.values.copy()
     if k == m.cols:
-        return LogitMatrix(out)
+        return m
+    bottom, rest = _bottom(m, k)
+    perms = np.empty(rest.shape, dtype=np.intp)
+    # row r's permutation depends only on (seed, r), as the rng contract fixes
     for r in range(m.rows):
-        mask = _top_k_mask(out[r], k)
-        ids = np.flatnonzero(~mask)
-        rng = substream(seed, r)
-        out[r, ids] = out[r, ids[rng.permutation(ids.size)]]
+        perms[r] = substream(seed, r).permutation(rest.shape[1])
+    out = m.values.copy()
+    out[bottom] = np.take_along_axis(rest, perms, axis=1).ravel()
     return LogitMatrix(out)
 
 
 def fix_k_average(m: LogitMatrix, k: int) -> LogitMatrix:
     """Keep each row's top-k values; set the rest to their arithmetic mean."""
-    if not (1 <= k <= m.cols):
-        raise ValidationError(f"k must be in [1, {m.cols}], got {k}")
-    out = m.values.copy()
     if k == m.cols:
-        return LogitMatrix(out)
-    for r in range(m.rows):
-        mask = _top_k_mask(out[r], k)
-        out[r, ~mask] = out[r, ~mask].mean()
-    return LogitMatrix(out)
+        return m
+    bottom, rest = _bottom(m, k)
+    return LogitMatrix(np.where(bottom, rest.mean(axis=1)[:, None], m.values))
 
 
 def correct_fix_1(m: LogitMatrix, labels: LabelVector) -> LogitMatrix:
@@ -97,13 +92,9 @@ def hybrid_merge(value_source: LogitMatrix, index_source: LogitMatrix) -> LogitM
     """
     if value_source.values.shape != index_source.values.shape:
         raise ValidationError("hybrid_merge requires matrices of the same shape")
-    n, c = value_source.values.shape
-    cols = np.arange(c)
-    out = np.empty((n, c), dtype=np.float64)
-    for r in range(n):
-        vals = np.sort(value_source.values[r])[::-1]
-        rank_order = np.lexsort((cols, -index_source.values[r]))
-        out[r, rank_order] = vals
+    rank_order = descending_order(index_source.values)
+    out = np.empty(rank_order.shape, dtype=np.float64)
+    np.put_along_axis(out, rank_order, np.sort(value_source.values, axis=1)[:, ::-1], axis=1)
     return LogitMatrix(out)
 
 

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .rng import substream
 from .store import DatasetBundle, LogitMatrix
+
+
+# Largest histogram a bin width may ask for; checked before anything is allocated.
+MAX_BINS = 1_000_000
 
 
 class StatsError(Exception):
@@ -48,6 +51,22 @@ class OverlapCurve:
     ao_at_k: np.ndarray
 
 
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Indices that sort the last axis by descending value, ties by ascending index."""
+    return np.argsort(-values, axis=-1, kind="stable")
+
+
+def _check_bins(lo: float, hi: float, bin_width: float) -> None:
+    """Refuse a histogram of [lo, hi] that would need more than MAX_BINS bins."""
+    # Python floats: an overflow gives inf (refused) rather than a warning
+    n_bins = (float(hi) - float(lo)) / bin_width + 2
+    if not n_bins <= MAX_BINS:
+        raise StatsError(
+            f"bin_width {bin_width:g} needs about {n_bins:.3g} histogram bins, "
+            f"more than {MAX_BINS}"
+        )
+
+
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax, safe against overflow."""
     z = np.asarray(z, dtype=np.float64)
@@ -74,6 +93,7 @@ def adjusted_skewness(x: np.ndarray) -> float:
 def _summarize(x: np.ndarray, bin_width: float) -> DistributionSummary:
     if bin_width <= 0:
         raise StatsError("bin_width must be positive")
+    _check_bins(x.min(), x.max(), bin_width)
     lo = np.floor(x.min() / bin_width) * bin_width
     hi = np.ceil(x.max() / bin_width) * bin_width
     if hi <= lo:
@@ -121,6 +141,7 @@ def gap_accuracy_curve(
     if bin_width <= 0:
         raise StatsError("bin_width must be positive")
     gaps = logit_gaps(bundle.logits)
+    _check_bins(0.0, gaps.max(), bin_width)
     flags = bundle.flags.flags.astype(np.float64)
     n_bins = int(np.floor(gaps.max() / bin_width)) + 1
     edges = bin_width * np.arange(n_bins + 1)
@@ -157,8 +178,8 @@ def confidence_ranks(bundle: DatasetBundle, class_index: int) -> RankProfile:
         raise StatsError(f"class {class_index} has no samples")
     probs = softmax(bundle.logits.values[ids])
     conf = probs.max(axis=1)
-    # stable argsort on (-conf, id): descending confidence, ascending id on ties
-    order = np.lexsort((ids, -conf))
+    # ids ascend, so ties in confidence keep ascending sample id
+    order = descending_order(conf)
     ranks = np.empty(ids.size, dtype=np.int64)
     ranks[order] = np.arange(ids.size)
     return RankProfile(class_index=class_index, sample_ids=ids, ranks=ranks)
@@ -203,28 +224,22 @@ def error_prediction_profile(bundle: DatasetBundle) -> np.ndarray:
         else:
             mean_vectors[c] = np.nan
 
-    profile = np.zeros(n_classes)
     wrong = np.flatnonzero(~correct)
     if wrong.size == 0:
         warnings.warn("no incorrect predictions; error profile is all zeros")
-        return profile
-    for i in wrong:
-        c = labels[i]
-        mv = mean_vectors[c]
-        if np.isnan(mv).any():
-            raise StatsError(f"class {c} has no correctly predicted samples")
-        # rank classes by descending mean logit, ties by ascending class index
-        order = np.lexsort((np.arange(n_classes), -mv))
-        k = int(np.flatnonzero(order == preds[i])[0])  # 0-based rank
-        profile[k] += 1.0
-    return profile / wrong.size
+        return np.zeros(n_classes)
+    # position[c, j] = 0-based rank of class j in class c's mean vector
+    position = _positions(mean_vectors)
+    ranks = position[labels[wrong], preds[wrong]]
+    return np.bincount(ranks, minlength=n_classes) / wrong.size
 
 
-def _rank_lists(m: np.ndarray) -> np.ndarray:
-    """Per-row class indices sorted by descending value, ties by ascending index."""
-    n, c = m.shape
-    cols = np.broadcast_to(np.arange(c), (n, c))
-    return np.lexsort((cols, -m), axis=1)
+def _positions(values: np.ndarray) -> np.ndarray:
+    """Per row, the 0-based descending rank of every column (inverse of descending_order)."""
+    n, c = values.shape
+    position = np.empty((n, c), dtype=np.intp)
+    np.put_along_axis(position, descending_order(values), np.arange(c)[None, :], axis=1)
+    return position
 
 
 def average_overlap(m1: LogitMatrix, m2: LogitMatrix, k_max: int) -> OverlapCurve:
@@ -233,25 +248,15 @@ def average_overlap(m1: LogitMatrix, m2: LogitMatrix, k_max: int) -> OverlapCurv
         raise StatsError("matrices must have the same shape")
     if not (1 <= k_max <= m1.cols):
         raise StatsError("k_max must be in [1, N_classes]")
-    r1 = _rank_lists(m1.values)
-    r2 = _rank_lists(m2.values)
-    n, c = r1.shape
-    # membership[i, cls] = 1 + rank position of cls (0 = not yet seen)
-    ao = np.zeros(k_max)
-    pos1 = np.empty_like(r1)
-    pos2 = np.empty_like(r2)
-    rows = np.arange(n)[:, None]
-    pos1[rows, r1] = np.arange(c)
-    pos2[rows, r2] = np.arange(c)
-    # overlap at depth i: count of classes with pos1 < i and pos2 < i
-    o_running = np.zeros(n)
-    ao_sum = np.zeros(n)
-    for i in range(1, k_max + 1):
-        in_both = (pos1 < i) & (pos2 < i)
-        o_running = in_both.sum(axis=1) / i
-        ao_sum += o_running
-        ao[i - 1] = np.mean(ao_sum / i)
-    return OverlapCurve(k_values=np.arange(1, k_max + 1), ao_at_k=ao)
+    n, c = m1.values.shape
+    # a class is in both top-d lists iff max(pos1, pos2) < d, so the overlap
+    # counts at every depth d are one cumulative histogram of those maxima
+    first_shared = _positions(m1.values)
+    np.maximum(first_shared, _positions(m2.values), out=first_shared)
+    shared = np.cumsum(np.bincount(first_shared.ravel(), minlength=c))[:k_max]
+    depth = np.arange(1, k_max + 1)
+    overlap = shared / (n * depth)  # overlap at depth d, averaged over samples
+    return OverlapCurve(k_values=depth, ao_at_k=np.cumsum(overlap) / depth)
 
 
 def within_class_permuted_overlap(
@@ -283,6 +288,6 @@ def cosine_neighbors(m: LogitMatrix, seed_row: int, n: int) -> list[tuple[int, f
     if (norms == 0).any():
         raise StatsError(f"row {int(np.argmax(norms == 0))} has zero norm")
     sims = m.values @ v / (norms * nv)
-    order = np.lexsort((np.arange(m.rows), -sims))
+    order = descending_order(sims)
     order = order[order != seed_row][:n]
     return [(int(i), float(sims[i])) for i in order]

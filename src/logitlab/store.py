@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -158,10 +159,10 @@ def store_matrix(m: LogitMatrix, path: str | Path, format: str = "binary") -> No
                 f.write(struct.pack("<II", m.rows, m.cols))
                 f.write(np.ascontiguousarray(m.values, dtype="<f8").tobytes())
         elif format == "text":
+            line = ",".join(["%.17g"] * m.cols) + "\n"
             with open(path, "w") as f:
                 f.write(f"{m.rows},{m.cols}\n")
-                for row in m.values:
-                    f.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                f.writelines(line % tuple(row) for row in m.values.tolist())
         else:
             raise ValueError(f"unknown format {format!r}")
     except OSError as e:
@@ -218,12 +219,27 @@ def _load_text(path: Path) -> LogitMatrix:
         rows, cols = int(head[0]), int(head[1])
     except ValueError as e:
         raise ParseError(f"{path}: non-integer header {lines[0]!r}") from e
+    if rows < 0 or cols < 0:
+        raise ParseError(f"{path}: negative size in header {lines[0]!r}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != rows:
         raise ParseError(f"{path}: header promises {rows} rows, found {len(body)}")
+    cells = [ln.split(",") for ln in body]
+    if all(len(parts) == cols for parts in cells):
+        try:
+            vals = np.fromiter(map(float, chain.from_iterable(cells)), np.float64, rows * cols)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(vals).all():
+                return LogitMatrix(vals.reshape(rows, cols))
+    return _load_cells(path, cells, rows, cols)
+
+
+def _load_cells(path: Path, cells: list, rows: int, cols: int) -> LogitMatrix:
+    """Cell-by-cell parse; its ParseError names the first bad row or cell."""
     vals = np.empty((rows, cols), dtype=np.float64)
-    for r, ln in enumerate(body):
-        parts = ln.split(",")
+    for r, parts in enumerate(cells):
         if len(parts) != cols:
             raise ParseError(f"{path}: row {r} has {len(parts)} values, expected {cols}")
         for c, tok in enumerate(parts):

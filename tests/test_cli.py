@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,8 +187,12 @@ def test_cli_reproducible_responses(tmp_path):
      3, "hybrid requires an index-source matrix"),
     (["stats", "--logits", "{d}/m.lgt", "--labels", "{d}"], 3, "cannot read"),
     (["stats", "--logits", "{d}/m.lgt", "--flags", "{d}"], 3, "cannot read"),
+    (["mftma", "--manifolds", "{d}"], 3, "cannot read"),
+    (["stats", "--logits", "{d}/m.lgt", "--bin-width", "1e-13"], 4, "histogram bins"),
+    (["stats", "--logits", "{d}/m.lgt", "--bin-width", "1e-310"], 4, "histogram bins"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
-        "hybrid_without_index_source", "labels_directory", "flags_directory"])
+        "hybrid_without_index_source", "labels_directory", "flags_directory",
+        "manifolds_directory", "bin_width_tiny", "bin_width_overflow"])
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]
     argv = [a.format(d=d) for a in argv] + ["--out", str(d / "out")]
@@ -195,3 +200,16 @@ def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert "Traceback" not in err
+
+
+def test_bin_cap_refuses_before_allocating(dataset):
+    d = dataset[0]
+    tracemalloc.start()
+    try:
+        code = _run("stats", "--logits", str(d / "m.lgt"), "--bin-width", "1e-13",
+                    "--out", str(d / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 16 * 2**20  # 1e-13 bins over this data would need ~1e14 bins

@@ -137,6 +137,15 @@ def test_hand_binning_oracle():
     assert curve.bins[1][3] == pytest.approx(2 / 3)
 
 
+@pytest.mark.parametrize("bin_width", [1e-13, 1e-310, float("nan")])
+def test_bin_count_is_capped(bin_width):
+    b = _bundle([[0.0, 2.0], [3.0, 0.5], [1.0, 1.0]], [1, 0, 0], [True, False, True])
+    with pytest.raises(stats.StatsError, match="histogram bins"):
+        stats.gap_accuracy_curve(b, bin_width)
+    with pytest.raises(stats.StatsError, match="histogram bins"):
+        stats.max_logit_distribution(b.logits, bin_width)
+
+
 def test_missing_flags_error():
     b = _bundle(np.zeros((3, 2)), [0, 0, 0])
     with pytest.raises(stats.StatsError):
@@ -295,6 +304,36 @@ def test_overlap_brute_force_oracle():
     # the running average keeps AO@k in [0, 1]; it reaches 1 at k = N only
     # for identical rankings (the depth-N overlap O(N) alone is always 1)
     assert np.all((curve.ao_at_k >= 0) & (curve.ao_at_k <= 1))
+
+
+def _ao_depth_loop(v1: np.ndarray, v2: np.ndarray, k_max: int) -> np.ndarray:
+    """Reference AO@k: one pass per depth over per-row rank positions."""
+    n, c = v1.shape
+    cols = np.broadcast_to(np.arange(c), (n, c))
+    rows = np.arange(n)[:, None]
+    pos1 = np.empty((n, c), dtype=np.int64)
+    pos2 = np.empty((n, c), dtype=np.int64)
+    pos1[rows, np.lexsort((cols, -v1), axis=1)] = np.arange(c)
+    pos2[rows, np.lexsort((cols, -v2), axis=1)] = np.arange(c)
+    ao = np.zeros(k_max)
+    ao_sum = np.zeros(n)
+    for i in range(1, k_max + 1):
+        ao_sum += ((pos1 < i) & (pos2 < i)).sum(axis=1) / i
+        ao[i - 1] = np.mean(ao_sum / i)
+    return ao
+
+
+@pytest.mark.parametrize("tie_heavy", [False, True], ids=["random", "ties"])
+@pytest.mark.parametrize("k_max", [5, 12], ids=["k_below_c", "k_equals_c"])
+def test_overlap_matches_depth_loop(tie_heavy, k_max):
+    rng = np.random.default_rng(17)
+    v1, v2 = rng.standard_normal((2, 300, 12))
+    if tie_heavy:
+        v1, v2 = np.round(v1), np.round(v1 + v2 * 0.7)
+    curve = stats.average_overlap(LogitMatrix(v1), LogitMatrix(v2), k_max)
+    np.testing.assert_allclose(curve.ao_at_k, _ao_depth_loop(v1, v2, k_max),
+                               rtol=1e-14, atol=0)
+    assert curve.k_values.tolist() == list(range(1, k_max + 1))
 
 
 def test_overlap_shape_and_k_errors():

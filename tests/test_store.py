@@ -70,6 +70,28 @@ def test_ragged_row_is_parse_error(tmp_path):
         load_matrix(p, "text")
 
 
+@pytest.mark.parametrize("body,message", [
+    ("2,3\n1,2,3\n4,x,6\n", "unparseable value at row 1, column 1"),
+    ("2,3\n1,2,3\n4,5,inf\n", "non-finite value at row 1, column 2"),
+    ("2,3\n1,2,3\n4,5\n", "row 1 has 2 values, expected 3"),
+    ("3,3\n1,2,3\n4,5,6\n", "header promises 3 rows, found 2"),
+    # row-major order: the short row 1 comes before row 2's bad cell, and
+    # row 0's non-finite cell before its later unparseable one
+    ("3,3\n1,nan,?\n4,5\n7,?,9\n", "non-finite value at row 0, column 1"),
+    ("3,3\n1,2,3\n4,5\n7,?,9\n", "row 1 has 2 values, expected 3"),
+    ("3,3\n1,2,3\n4,?,6,7\n7,8,9\n", "row 1 has 4 values, expected 3"),
+    ("1,-2\n1,2\n", "negative size in header '1,-2'"),
+    ("0,-2\n", "negative size in header '0,-2'"),
+], ids=["unparseable", "non_finite", "short_row", "row_count", "first_bad_cell",
+        "short_before_bad", "long_row", "negative_cols", "negative_cols_no_rows"])
+def test_text_failure_messages(tmp_path, body, message):
+    p = tmp_path / "m.txt"
+    p.write_text(body)
+    with pytest.raises(ParseError) as err:
+        load_matrix(p, "text")
+    assert str(err.value) == f"{p}: {message}"
+
+
 def test_bad_header(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("nonsense\n")
