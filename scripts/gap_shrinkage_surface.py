@@ -16,7 +16,6 @@ def main() -> int:
     ap.add_argument("--out", default="out/gap_shrinkage")
     ap.add_argument("--n-classes", type=int, default=10)
     ap.add_argument("--error-rate", type=float, default=0.2)
-    ap.add_argument("--epsilon", type=float, default=0.1)
     ap.add_argument("--branch", choices=("plus", "minus"), default="plus")
     ap.add_argument("--beta-min", type=float, default=3.0)
     ap.add_argument("--beta-max", type=float, default=10.0)
@@ -26,7 +25,6 @@ def main() -> int:
         "analytic", "--shrinkage",
         "--n-classes", str(args.n_classes),
         "--error-rate", str(args.error_rate),
-        "--epsilon", str(args.epsilon),
         "--branch", args.branch,
         "--beta-min", str(args.beta_min),
         "--beta-max", str(args.beta_max),

@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
+MAX_BETAS = 1000  # per analytic grid axis; the surface CSVs hold MAX_BETAS**2 rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,7 +92,7 @@ def _cmd_stats(args) -> int:
                  "gap_low,gap_high,n_samples,adversarial_accuracy", curve.bins)
         )
     inputs = [args.logits] + [p for p in (args.labels, args.flags) if p]
-    _write_manifest(out, vars(args) | {"subcommand": "stats"}, inputs, outputs)
+    _write_manifest(out, vars(args), inputs, outputs)
     return EXIT_OK
 
 
@@ -112,7 +113,7 @@ def _cmd_overlap(args) -> int:
         rows = [(int(k), float(v)) for k, v in zip(perm.k_values, perm.ao_at_k)]
         outputs.append(_csv(out / "overlap_permuted.csv", "k,ao_at_k", rows))
     inputs = [args.logits, args.logits2] + ([args.labels] if args.labels else [])
-    _write_manifest(out, vars(args) | {"subcommand": "overlap"}, inputs, outputs)
+    _write_manifest(out, vars(args), inputs, outputs)
     return EXIT_OK
 
 
@@ -129,59 +130,29 @@ def _cmd_manipulate(args) -> int:
     target = out / f"{args.kind}.lgt"
     store.store_matrix(result, target, args.format)
     inputs = [args.logits] + [p for p in (args.labels, args.index_source) if p]
-    _write_manifest(out, vars(args) | {"subcommand": "manipulate"}, inputs, [target])
+    _write_manifest(out, vars(args), inputs, [target])
     return EXIT_OK
-
-
-def _admissible(n: int, beta: float, case: str, branch: str) -> bool:
-    """surrogate.admissible, with a beta at a pole counted as inadmissible."""
-    try:
-        return surrogate.admissible(surrogate.SurrogateSpec(n, beta, case, branch))
-    except surrogate.DomainError:
-        return False
 
 
 def _cmd_analytic(args) -> int:
     if not args.beta_step > 0:
         raise UsageError(f"--beta-step must be > 0, got {args.beta_step}")
+    if not 0 < (args.beta_max + 1e-12 - args.beta_min) / args.beta_step <= MAX_BETAS:
+        raise UsageError(f"--beta-min/--beta-max/--beta-step must give 1 to {MAX_BETAS} betas")
+    surrogate._check_error_rate(args.error_rate)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    n = args.n_classes
-    grid_c = np.arange(args.beta_min, args.beta_max + 1e-12, args.beta_step)
-    grid_w = grid_c.copy()
-    if args.surface:
-        surf = surrogate.mean_field_loss_surface(
-            grid_c, grid_w, n, args.error_rate, args.branch
-        )
-        rows = [
-            (float(bc), float(bw), float(surf[i, j]))
-            for i, bc in enumerate(grid_c)
-            for j, bw in enumerate(grid_w)
-        ]
-        outputs.append(
-            _csv(out / "loss_surface.csv", "beta_correct,beta_wrong,loss", rows)
-        )
-    if args.shrinkage:
-        ok_c = [_admissible(n, float(bc), "correct", args.branch) for bc in grid_c]
-        ok_w = [_admissible(n, float(bw), "misclassified", args.branch) for bw in grid_w]
-        rows = []
-        for bc, bc_ok in zip(grid_c, ok_c):
-            for bw, bw_ok in zip(grid_w, ok_w):
-                try:
-                    params = surrogate.MeanFieldParams(float(bc), float(bw), n, args.error_rate)
-                    if not (bc_ok and bw_ok):
-                        raise surrogate.DomainError("inadmissible")
-                    val = surrogate.gap_shrinkage(
-                        surrogate.GapShiftInput(params, args.epsilon, 1.0, 1.0),
-                        args.branch,
-                    )
-                except surrogate.DomainError:
-                    val = float("nan")
-                rows.append((float(bc), float(bw), val))
-        outputs.append(
-            _csv(out / "gap_shrinkage.csv", "beta_correct,beta_wrong,shrinkage", rows)
-        )
+    grid = np.arange(args.beta_min, args.beta_max + 1e-12, args.beta_step)
+    pairs = [np.repeat(grid, grid.size), np.tile(grid, grid.size)]
+    for wanted, surface, name, column in (
+        (args.surface, surrogate.mean_field_loss_surface, "loss_surface", "loss"),
+        (args.shrinkage, surrogate.gap_shrinkage_surface, "gap_shrinkage", "shrinkage"),
+    ):
+        if wanted:
+            values = surface(grid, grid, args.n_classes, args.error_rate, args.branch).ravel()
+            rows = np.column_stack(pairs + [values]).tolist()
+            outputs.append(_csv(out / f"{name}.csv", f"beta_correct,beta_wrong,{column}", rows))
     if args.threshold:
         rows = []
         for nn in range(4, args.n_classes + 1):
@@ -193,7 +164,7 @@ def _cmd_analytic(args) -> int:
         outputs.append(_csv(out / "threshold.csv", "n_classes,threshold", rows))
     if not outputs:
         raise UsageError("analytic requires at least one of --surface/--shrinkage/--threshold")
-    _write_manifest(out, vars(args) | {"subcommand": "analytic"}, [], outputs)
+    _write_manifest(out, vars(args), [], outputs)
     return EXIT_OK
 
 
@@ -212,7 +183,7 @@ def _cmd_response(args) -> int:
         _csv(out / "gap_shift.csv",
              "beta_correct,beta_wrong,predicted,measured_mean,measured_std", rows)
     ]
-    _write_manifest(out, vars(args) | {"subcommand": "response"}, [], outputs)
+    _write_manifest(out, vars(args), [], outputs)
     return EXIT_OK
 
 
@@ -247,9 +218,7 @@ def _cmd_mftma(args) -> int:
         outputs.append(
             _csv(out / "empirical_capacity.csv", "alpha_empirical", [(cap,)])
         )
-    _write_manifest(
-        out, vars(args) | {"subcommand": "mftma"}, [args.manifolds], outputs
-    )
+    _write_manifest(out, vars(args), [args.manifolds], outputs)
     return EXIT_OK
 
 
@@ -296,13 +265,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_manipulate)
 
     p = sub.add_parser("analytic", help="surrogate-model surfaces and thresholds")
-    common(p, logits=False)
+    p.add_argument("--out", required=True)
     p.add_argument("--surface", action="store_true")
     p.add_argument("--shrinkage", action="store_true")
     p.add_argument("--threshold", action="store_true")
     p.add_argument("--n-classes", type=int, default=10, dest="n_classes")
     p.add_argument("--error-rate", type=float, default=0.2, dest="error_rate")
-    p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
     p.add_argument("--beta-min", type=float, default=3.0, dest="beta_min")
     p.add_argument("--beta-max", type=float, default=10.0, dest="beta_max")
@@ -310,7 +278,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("response", help="linear-response gap-shift experiment")
-    common(p, logits=False)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-data", type=int, default=200, dest="n_data")
     p.add_argument("--n-feats", type=int, default=100, dest="n_feats")
     p.add_argument("--n-classes", type=int, default=10, dest="n_classes")

@@ -255,17 +255,22 @@ def gap_shift_experiment(
 
     n_wrong = int(round(params.error_rate * n_data))
     labels = rng.integers(0, n, size=n_data)
-    z = np.empty((n_data, n))
-    correct_mask = np.arange(n_data) >= n_wrong
     spec_c = SurrogateSpec(n, params.beta_correct, "correct", branch)
     spec_w = SurrogateSpec(n, params.beta_wrong, "misclassified", branch)
-    for i in range(n_data):
-        lab = int(labels[i])
-        if i < n_wrong:
-            arg = int((lab + 1 + rng.integers(0, n - 1)) % n)
-            z[i] = surrogate_logit(spec_w, lab, arg)
-        else:
-            z[i] = surrogate_logit(spec_c, lab, lab)
+    correct_mask = np.arange(n_data) >= n_wrong
+    wrong = ~correct_mask
+    # each sample's row is its case's surrogate logit moved onto its classes
+    z = np.empty((n_data, n))
+    if n_wrong:
+        argmax = (labels[wrong] + 1 + rng.integers(0, n - 1, size=n_wrong)) % n
+        beta, g, psi = surrogate_logit(spec_w, 1, 0)[:3]
+        z[wrong] = psi
+        z[wrong, labels[wrong]] = g
+        z[wrong, argmax] = beta
+    if n_wrong < n_data:
+        beta, f = surrogate_logit(spec_c, 0, 0)[:2]
+        z[correct_mask] = f
+        z[correct_mask, labels[correct_mask]] = beta
 
     problem = ResponseProblem(
         X=x, Z_tilde=z, labels=LabelVector(labels),

@@ -13,8 +13,8 @@ the independent oracle, and the first-order gap-shrinkage prediction.
 The printed closed forms are not stationary points of truncated_ce: on the
 symmetric ansatz they solve a quadratic whose constant term differs from the
 true one. The loss surface, gap shrinkage, thresholds and surrogate logits
-are built from the printed forms. symmetric_stationary solves the true
-reduced stationarity system on the same ansatz.
+are built from the printed forms by one evaluator, _closed_forms, the place
+to move them onto the roots symmetric_stationary finds on the same ansatz.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ class SurrogateSpec:
             raise SurrogateError("misclassified case needs n_classes >= 3")
 
 
+def _check_error_rate(error_rate: float) -> None:
+    if not (0.0 <= error_rate <= 1.0):
+        raise SurrogateError("error_rate must be in [0, 1]")
+
+
 @dataclass(frozen=True)
 class MeanFieldParams:
     beta_correct: float
@@ -67,8 +72,7 @@ class MeanFieldParams:
     error_rate: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.error_rate <= 1.0):
-            raise SurrogateError("error_rate must be in [0, 1]")
+        _check_error_rate(self.error_rate)
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,12 @@ class GapShiftInput:
             raise SurrogateError("omega coefficients must be nonnegative")
 
 
-def _sign(branch: str) -> float:
-    return 1.0 if branch == "plus" else -1.0
-
-
-def _check_poles(beta: float, n_classes: int, n_minus_3: bool) -> None:
-    if n_classes >= 2 and abs(beta - np.log(n_classes - 1)) < POLE_TOL:
-        raise DomainError(f"beta at pole ln(N-1) = ln({n_classes - 1})")
-    if n_minus_3 and n_classes >= 4 and abs(beta - np.log(n_classes - 3)) < POLE_TOL:
-        raise DomainError(f"beta at pole ln(N-3) = ln({n_classes - 3})")
+def _pole_hits(beta, n_classes: int, case: str) -> list[tuple[np.ndarray, str]]:
+    """(beta within POLE_TOL of it, its name) for each pole of the forms."""
+    poles = [(n_classes - 1, "ln(N-1)")] if n_classes >= 2 else []
+    if case == "misclassified" and n_classes >= 4:
+        poles.append((n_classes - 3, "ln(N-3)"))
+    return [(np.abs(beta - np.log(m)) < POLE_TOL, f"{name} = ln({m})") for m, name in poles]
 
 
 def _check_assignment(case: str, true_class: int, argmax_class: int) -> None:
@@ -103,6 +104,51 @@ def _check_assignment(case: str, true_class: int, argmax_class: int) -> None:
         raise SurrogateError("misclassified case requires distinct classes")
 
 
+def _closed_forms(beta, n_classes: int, case: str, branch: str):
+    """The printed forms at a float or an array of beta: true-class and
+    other-class coefficients, (f, f) or (g, psi); kappa (None if correct); the
+    domain (off the poles by POLE_TOL, rad >= 0); and admissibility, beta > max(u)."""
+    if case == "misclassified" and n_classes == 3:
+        warnings.warn("n_classes=3 makes the N-3 factor vanish; result is degenerate")
+    s = 1.0 if branch == "plus" else -1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.exp(-beta) * (n_classes - 1)
+        if case == "correct":
+            # float_power calls libm pow, as float ** 2 does (an array's ** 2 multiplies)
+            rad = 1.0 + 2.0 * np.exp(-2.0 * beta) * (1.0 - a) / np.float_power(1.0 + a, 2)
+            true = other = (1.0 + a) / (1.0 - a) * (-1.0 + s * np.sqrt(rad))
+            kappa = None
+        else:
+            b = np.exp(-beta) * (n_classes - 3)
+            rad = 1.0 + 2.0 * (1.0 - a) * (1.0 - b) / (1.0 + a)
+            kappa = (1.0 + a) / (1.0 - b) * np.sqrt(rad)
+            true = -(1.0 - b) / (1.0 - a) * (1.0 + s * kappa)
+            other = 2.0 * (np.exp(-beta) / (1.0 - a) * true - (1.0 + a) / (1.0 - b))
+        domain = ~(rad < 0)
+        for hit, _ in _pole_hits(beta, n_classes, case):
+            domain = domain & ~hit
+        return true, other, kappa, domain, domain & (beta > np.maximum(true, other))
+
+
+def _closed_forms_at(beta: float, n_classes: int, case: str, branch: str):
+    """(true, other, kappa, admissible) at one beta; DomainError off the domain."""
+    for hit, name in _pole_hits(beta, n_classes, case):
+        if hit:
+            raise DomainError(f"beta at pole {name}")
+    true, other, kappa, domain, ok = _closed_forms(beta, n_classes, case, branch)
+    if not domain:
+        raise DomainError(f"negative discriminant at beta={beta}, N={n_classes}")
+    return true, other, kappa, bool(ok)
+
+
+def printed_coefficients(beta, n_classes: int, case: str, branch: str = "plus"):
+    """True-class and other-class coefficients at each beta, (f, f) or (g, psi);
+    NaN at a pole, at a negative discriminant and where beta <= max(u)."""
+    SurrogateSpec(n_classes, 0.0, case, branch)  # validates the arguments
+    true, other, _, _, ok = _closed_forms(beta, n_classes, case, branch)
+    return np.where(ok, true, np.nan), np.where(ok, other, np.nan)
+
+
 def f_pm(beta: float, n_classes: int, branch: str = "plus") -> float:
     """Printed coefficient f+- for the correctly classified case.
 
@@ -112,12 +158,7 @@ def f_pm(beta: float, n_classes: int, branch: str = "plus") -> float:
     solve the same quadratic with constant term 2(1+A)^2 and are returned by
     symmetric_stationary.
     """
-    _check_poles(beta, n_classes, n_minus_3=False)
-    a = np.exp(-beta) * (n_classes - 1)
-    rad = 1.0 + 2.0 * np.exp(-2.0 * beta) * (1.0 - a) / (1.0 + a) ** 2
-    if rad < 0:
-        raise DomainError(f"negative discriminant at beta={beta}, N={n_classes}")
-    return float((1.0 + a) / (1.0 - a) * (-1.0 + _sign(branch) * np.sqrt(rad)))
+    return float(_closed_forms_at(beta, n_classes, "correct", branch)[0])
 
 
 def misclassified_coeffs(
@@ -129,31 +170,16 @@ def misclassified_coeffs(
     stationary point of truncated_ce on the ansatz u_y = g, u = psi on the
     other non-argmax classes; symmetric_stationary returns those.
     """
-    _check_poles(beta, n_classes, n_minus_3=True)
-    if n_classes == 3:
-        warnings.warn("n_classes=3 makes the N-3 factor vanish; result is degenerate")
-    a = np.exp(-beta) * (n_classes - 1)
-    b = np.exp(-beta) * (n_classes - 3)
-    rad = 1.0 + 2.0 * (1.0 - a) * (1.0 - b) / (1.0 + a)
-    if rad < 0:
-        raise DomainError(f"negative discriminant at beta={beta}, N={n_classes}")
-    kappa = (1.0 + a) / (1.0 - b) * np.sqrt(rad)
-    g = -(1.0 - b) / (1.0 - a) * (1.0 + _sign(branch) * kappa)
-    psi = 2.0 * (np.exp(-beta) / (1.0 - a) * g - (1.0 + a) / (1.0 - b))
+    g, psi, kappa, _ = _closed_forms_at(beta, n_classes, "misclassified", branch)
     return float(g), float(kappa), float(psi)
 
 
 def admissible(spec: SurrogateSpec) -> bool:
     """Whether the closed-form solution obeys the strict max constraint."""
-    if spec.case == "correct":
-        return spec.beta > f_pm(spec.beta, spec.n_classes, spec.branch)
-    g, _, psi = misclassified_coeffs(spec.beta, spec.n_classes, spec.branch)
-    return spec.beta > max(g, psi)
+    return _closed_forms_at(spec.beta, spec.n_classes, spec.case, spec.branch)[3]
 
 
-def admissibility_threshold(
-    n_classes: int, case: str, branch: str = "plus"
-) -> float:
+def admissibility_threshold(n_classes: int, case: str, branch: str = "plus") -> float:
     """Smallest beta above which admissible() holds for every larger beta.
 
     Scans [0, 100] in steps of 0.1 (skipping pole neighborhoods), brackets the
@@ -161,19 +187,16 @@ def admissibility_threshold(
     -inf when the whole scanned grid is admissible.
     """
 
-    def ok(b: float) -> bool:
-        try:
-            return admissible(SurrogateSpec(n_classes, b, case, branch))
-        except DomainError:
-            return False
+    def ok(b):
+        return ~np.isnan(printed_coefficients(b, n_classes, case, branch)[0])
 
     grid = np.arange(0.0, 100.0 + 1e-12, 0.1)
-    vals = [ok(b) for b in grid]
+    vals = ok(grid)
     if not vals[-1]:
         raise SearchError("no admissible beta found in [0, 100]")
-    if all(vals):
+    if vals.all():
         return float("-inf")
-    last_false = max(i for i, v in enumerate(vals) if not v)
+    last_false = np.flatnonzero(~vals)[-1]
     lo, hi = grid[last_false], grid[last_false + 1]
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
@@ -184,42 +207,42 @@ def admissibility_threshold(
     return float(hi)
 
 
-def surrogate_logit(
-    spec: SurrogateSpec, true_class: int, argmax_class: int
-) -> np.ndarray:
+def _logit_rows(beta, true, other, n_classes: int, true_class, argmax_class) -> np.ndarray:
+    """beta*phi_hat + v at each beta: true at true_class, other elsewhere."""
+    z = np.repeat(np.expand_dims(other, -1), n_classes, axis=-1)
+    z[..., true_class] = true
+    z[..., argmax_class] = beta
+    return z
+
+
+def surrogate_logit(spec: SurrogateSpec, true_class: int, argmax_class: int) -> np.ndarray:
     """Full logit vector beta*phi_hat + v for the given class assignment."""
     n = spec.n_classes
     if not (0 <= true_class < n and 0 <= argmax_class < n):
         raise SurrogateError("class index out of range")
     _check_assignment(spec.case, true_class, argmax_class)
-    if not admissible(spec):
-        raise SurrogateError(
-            f"beta={spec.beta} is inadmissible for case={spec.case}, "
-            f"branch={spec.branch}, N={n}"
-        )
-    z = np.zeros(n)
-    if spec.case == "correct":
-        f = f_pm(spec.beta, n, spec.branch)
-        z[:] = f
-    else:
-        g, _, psi = misclassified_coeffs(spec.beta, n, spec.branch)
-        z[:] = psi
-        z[true_class] = g
-    z[argmax_class] = spec.beta
-    return z
+    true, other, _, ok = _closed_forms_at(spec.beta, n, spec.case, spec.branch)
+    if not ok:
+        raise SurrogateError(f"beta={spec.beta} is inadmissible for case={spec.case}, "
+                             f"branch={spec.branch}, N={n}")
+    return _logit_rows(spec.beta, true, other, n, true_class, argmax_class)
 
 
-def exact_ce(z: np.ndarray, y: int) -> float:
-    """Cross-entropy -z_y + logsumexp(z), max-subtracted."""
+def exact_ce(z: np.ndarray, y: int):
+    """Cross-entropy -z_y + logsumexp(z), max-subtracted, of z or of each row."""
     z = np.asarray(z, dtype=np.float64)
-    m = z.max()
-    return float(-z[y] + m + np.log(np.sum(np.exp(z - m))))
+    m = z.max(axis=-1, keepdims=True)
+    loss = -z[..., y] + m[..., 0] + np.log(np.sum(np.exp(z - m), axis=-1))
+    return float(loss) if z.ndim == 1 else loss
 
 
-def _field_and_form(beta: float, phi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    h = (1.0 + (np.exp(beta) - 1.0) * phi) / (np.exp(beta) + n - 1)
-    q = np.diag(h) - np.outer(h, h)
-    return h, q
+def _field(beta: float, phi: np.ndarray, n: int) -> np.ndarray:
+    return (1.0 + (np.exp(beta) - 1.0) * phi) / (np.exp(beta) + n - 1)
+
+
+def _form(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q x with Q = diag(h) - h h^T, without forming Q."""
+    return h * x - h * (h @ x)
 
 
 def truncated_ce(z: np.ndarray, y: int) -> float:
@@ -239,9 +262,9 @@ def truncated_ce(z: np.ndarray, y: int) -> float:
         raise SurrogateError("z - beta*phi_hat is not orthogonal to phi_hat")
     yv = np.zeros(n)
     yv[y] = 1.0
-    h, q = _field_and_form(beta, phi, n)
+    h = _field(beta, phi, n)
     log_z = beta + np.log(1.0 + np.exp(-beta) * (n - 1))
-    qu = q @ u
+    qu = _form(h, u)
     uqu = u @ qu
     return float(
         log_z
@@ -265,14 +288,14 @@ def _grad(beta: float, k: int, u: np.ndarray, y: int, n: int) -> np.ndarray:
     phi[k] = 1.0
     yv = np.zeros(n)
     yv[y] = 1.0
-    h, q = _field_and_form(beta, phi, n)
-    qu = q @ u
+    h = _field(beta, phi, n)
+    qu = _form(h, u)
     return (
         h
         - yv
         + qu
         + (u * qu) / 3.0
-        + q @ (u * u) / 6.0
+        + _form(h, u * u) / 6.0
         - (h * (u @ qu) + 2.0 * (u @ h) * qu) / 3.0
     )
 
@@ -280,14 +303,14 @@ def _grad(beta: float, k: int, u: np.ndarray, y: int, n: int) -> np.ndarray:
 def _truncated_ce_hess(beta: float, k: int, u: np.ndarray, n: int) -> np.ndarray:
     phi = np.zeros(n)
     phi[k] = 1.0
-    h, q = _field_and_form(beta, phi, n)
-    qu = q @ u
-    hess = (
+    h = _field(beta, phi, n)
+    q = np.diag(h) - np.outer(h, h)
+    qu = _form(h, u)
+    return (
         q
-        + (np.diag(qu) + np.diag(u) @ q + q @ np.diag(u)) / 3.0
+        + (np.diag(qu) + u[:, None] * q + q * u) / 3.0
         - 2.0 / 3.0 * (np.outer(h, qu) + np.outer(qu, h) + (u @ h) * q)
     )
-    return hess
 
 
 def brute_force_stationary(
@@ -417,48 +440,50 @@ def symmetric_stationary(
     return [u for u in points if u.max() < beta]
 
 
+def _grid_forms(grid_correct, grid_wrong, n_classes: int, error_rate: float, branch: str):
+    """Both grids as arrays with f, g and psi on them, NaN where inadmissible."""
+    _check_error_rate(error_rate)
+    bc = np.asarray(grid_correct, dtype=np.float64)
+    bw = np.asarray(grid_wrong, dtype=np.float64)
+    f, _ = printed_coefficients(bc, n_classes, "correct", branch)
+    return (bc, f, bw, *printed_coefficients(bw, n_classes, "misclassified", branch))
+
+
 def mean_field_loss_surface(
-    grid_correct: np.ndarray,
-    grid_wrong: np.ndarray,
-    n_classes: int,
-    error_rate: float,
+    grid_correct: np.ndarray, grid_wrong: np.ndarray, n_classes: int, error_rate: float,
     branch: str = "plus",
 ) -> np.ndarray:
     """Loss values on the (beta_correct, beta_wrong) grid; NaN where
     either beta is inadmissible for its case."""
-    grid_correct = np.asarray(grid_correct, dtype=np.float64)
-    grid_wrong = np.asarray(grid_wrong, dtype=np.float64)
-    loss_c = np.full(grid_correct.size, np.nan)
-    loss_w = np.full(grid_wrong.size, np.nan)
-    for i, bc in enumerate(grid_correct):
-        try:
-            spec = SurrogateSpec(n_classes, float(bc), "correct", branch)
-            if admissible(spec):
-                loss_c[i] = exact_ce(surrogate_logit(spec, 0, 0), 0)
-        except DomainError:
-            pass
-    for j, bw in enumerate(grid_wrong):
-        try:
-            spec = SurrogateSpec(n_classes, float(bw), "misclassified", branch)
-            if admissible(spec):
-                loss_w[j] = exact_ce(surrogate_logit(spec, 1, 0), 1)
-        except DomainError:
-            pass
+    bc, f, bw, g, psi = _grid_forms(grid_correct, grid_wrong, n_classes, error_rate, branch)
+    loss_c = exact_ce(_logit_rows(bc, f, f, n_classes, 0, 0), 0)
+    loss_w = exact_ce(_logit_rows(bw, g, psi, n_classes, 1, 0), 1)
     # an inadmissible beta's NaN spreads over its whole row or column
     return (1.0 - error_rate) * loss_c[:, None] + error_rate * loss_w[None, :]
+
+
+def _shrinkage(gap_c, gap_w, split_w, n: int, eps: float, omega_c: float, omega_w: float):
+    """Gap shrinkage from beta - f, beta - g and g - psi; float_power is float ** 2."""
+    quad = ((1.0 - eps) * omega_c * np.float_power(gap_c, 2)
+            + eps * omega_w * np.float_power(gap_w, 2))
+    cross = 2.0 * (n - 2) / (n - 1) * eps * omega_w * gap_w * split_w
+    return -quad - cross
 
 
 def gap_shrinkage(inp: GapShiftInput, branch: str = "plus") -> float:
     """First-order change of the correct-sample logit gap under an attack."""
     p = inp.params
-    n = p.n_classes
-    f = f_pm(p.beta_correct, n, branch)
-    g, _, psi = misclassified_coeffs(p.beta_wrong, n, branch)
-    gap_c = p.beta_correct - f
-    gap_w = p.beta_wrong - g
-    eps = p.error_rate
-    quad = (1.0 - eps) * inp.omega_correct * gap_c**2 + eps * inp.omega_wrong * gap_w**2
-    cross = (
-        2.0 * (n - 2) / (n - 1) * eps * inp.omega_wrong * gap_w * (g - psi)
-    )
-    return float(-quad - cross)
+    f = f_pm(p.beta_correct, p.n_classes, branch)
+    g, _, psi = misclassified_coeffs(p.beta_wrong, p.n_classes, branch)
+    return float(_shrinkage(p.beta_correct - f, p.beta_wrong - g, g - psi, p.n_classes,
+                            p.error_rate, inp.omega_correct, inp.omega_wrong))
+
+
+def gap_shrinkage_surface(
+    grid_correct: np.ndarray, grid_wrong: np.ndarray, n_classes: int, error_rate: float,
+    branch: str = "plus",
+) -> np.ndarray:
+    """gap_shrinkage with unit omegas on the (beta_correct, beta_wrong)
+    grid; NaN where either beta is inadmissible for its case."""
+    bc, f, bw, g, psi = _grid_forms(grid_correct, grid_wrong, n_classes, error_rate, branch)
+    return _shrinkage((bc - f)[:, None], bw - g, g - psi, n_classes, error_rate, 1.0, 1.0)

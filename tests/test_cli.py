@@ -190,9 +190,27 @@ def test_cli_reproducible_responses(tmp_path):
     (["mftma", "--manifolds", "{d}"], 3, "cannot read"),
     (["stats", "--logits", "{d}/m.lgt", "--bin-width", "1e-13"], 4, "histogram bins"),
     (["stats", "--logits", "{d}/m.lgt", "--bin-width", "1e-310"], 4, "histogram bins"),
+    (["analytic", "--surface", "--error-rate", "5"], 4, "error_rate must be in [0, 1]"),
+    (["analytic", "--threshold", "--error-rate", "-1"], 4, "error_rate must be in [0, 1]"),
+    (["analytic", "--surface", "--beta-min", "5", "--beta-max", "4"], 2, "1 to 1000 betas"),
+    (["analytic", "--shrinkage", "--beta-step", "1e-4"], 2, "1 to 1000 betas"),
+    (["analytic", "--surface", "--epsilon", "0.1"], 2, "unrecognized arguments"),
+    (["analytic", "--surface", "--seed", "1"], 2, "unrecognized arguments"),
+    (["analytic", "--surface", "--format", "text"], 2, "unrecognized arguments"),
+    (["response", "--format", "text"], 2, "unrecognized arguments"),
+    (["response", "--beta-wrong", "1.0", "--n-data", "20", "--n-feats", "10"], 4,
+     "beta=1.0 is inadmissible for case=misclassified, branch=plus, N=10"),
+    (["response", "--beta-correct", "-0.5", "--n-data", "20", "--n-feats", "10"], 4,
+     "beta=-0.5 is inadmissible for case=correct, branch=plus, N=10"),
+    (["response", "--beta-correct", "2.1972245773362196", "--n-data", "20", "--n-feats", "10"],
+     4, "beta at pole ln(N-1) = ln(9)"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
-        "manifolds_directory", "bin_width_tiny", "bin_width_overflow"])
+        "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
+        "analytic_error_rate", "analytic_threshold_error_rate", "analytic_empty_grid",
+        "analytic_grid_cap", "analytic_epsilon_removed", "analytic_seed_removed",
+        "analytic_format_removed", "response_format_removed", "response_beta_wrong_inadmissible",
+        "response_beta_correct_inadmissible", "response_beta_correct_at_pole"])
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]
     argv = [a.format(d=d) for a in argv] + ["--out", str(d / "out")]
@@ -200,6 +218,8 @@ def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert "Traceback" not in err
+    if argv[0] == "analytic":  # refused before the output directory is made
+        assert not (d / "out").exists()
 
 
 def test_bin_cap_refuses_before_allocating(dataset):
@@ -213,3 +233,17 @@ def test_bin_cap_refuses_before_allocating(dataset):
         tracemalloc.stop()
     assert code == 4
     assert peak < 16 * 2**20  # 1e-13 bins over this data would need ~1e14 bins
+
+
+def test_beta_grid_cap_refuses_before_allocating(dataset):
+    d = dataset[0]
+    tracemalloc.start()
+    try:
+        code = _run("analytic", "--surface", "--beta-step", "1e-9", "--beta-max", "3.5",
+                    "--out", str(d / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 16 * 2**20  # the 5e8-value grid alone would take 4 GB
+    assert not (d / "out").exists()

@@ -1,9 +1,11 @@
-"""Byte-identity gate for the forge outputs and the stats CSVs.
+"""Byte-identity gate for the forge outputs, the stats CSVs and the
+surrogate-model artifacts.
 
-The inputs are small seeded matrices rounded to one decimal, so rows hold
-ties and the tie order (ascending class index) decides the outputs. The
-SHA-256 of every output file is pinned; a rewrite of the ranking, forge or
-text IO code must reproduce each file byte for byte.
+The forge and stats inputs are small seeded matrices rounded to one decimal,
+so rows hold ties and the tie order (ascending class index) decides the
+outputs. The analytic and response runs take no input file. The SHA-256 of
+every output file is pinned; a rewrite of the ranking, forge, text IO,
+closed-form or response code must reproduce each file byte for byte.
 """
 
 import hashlib
@@ -83,3 +85,50 @@ def test_outputs_are_byte_identical(inputs, tmp_path, fmt):
     expected = FORGE[fmt] | STATS
     got = {name: _sha256(tmp_path / name) for name in expected}
     assert got == expected
+
+
+# Hashes taken from the per-beta, per-cell and per-sample implementation.
+ANALYTIC_ARGS = {
+    "readme": ["--n-classes", "10", "--error-rate", "0.2",
+               "--beta-min", "3", "--beta-max", "10", "--beta-step", "0.25"],
+    "n40": ["--n-classes", "40", "--beta-step", "0.05"],
+    "minus": ["--branch", "minus", "--n-classes", "12",
+              "--beta-min", "0.3", "--beta-max", "8", "--beta-step", "0.1"],
+}
+ANALYTIC = {
+    "readme": {
+        "loss_surface.csv": "d11494526262bf43bb7f41794be16f4bc10b2c5546c65257fc8d63d5614e0d95",
+        "gap_shrinkage.csv": "cc88b814be2477a746b0f300b40a0f53a1954fb33d5f466fa6c61feebdba8b41",
+        "threshold.csv": "0d7799186d9a59a9dd557956aadb61acd12bd5f8fa149095d57353dd11e74501",
+    },
+    "n40": {
+        "loss_surface.csv": "ea534aaf5045a2d4ec610905abcaf4f5682fd013f25714610aac300ac6f8d067",
+        "gap_shrinkage.csv": "1e823df81e84db8013b5904b6d3fb001216a4be4919756779f783e40b30d8b2d",
+        "threshold.csv": "beff908fd484ccbe5440a30b0d1d727cbd96f9b99c3413d8aaf5ddaf81ece5bf",
+    },
+    "minus": {
+        "loss_surface.csv": "e2123c926773c8efc94584527f8e44f4f4cdbd1865f353c11c42b7e4fcee45e4",
+        "gap_shrinkage.csv": "f9d6905bf8e8782f5a274d473bc247053e8ce6296a906dddc199215cca5f8550",
+        "threshold.csv": "373b206a18f8a3bbf0b6fa6f880c94f7bcc3afb983ddbe8e89095ac01b0f8bdf",
+    },
+}
+GAP_SHIFT = {
+    "0.2": "344fe1bd834ce67f01a9e744c04890ad95a9ad9aec797c38535b26dcd02756a2",
+    "0": "9e9ff829b8bc042b6c720f631b8520d38062b7864cd6128a91ce893c63373306",
+    "1": "e494e2c6014f0bd582e59d9431fe528107352ec9d0a51987d20a8682ce8b366f",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(ANALYTIC))
+def test_analytic_outputs_are_byte_identical(tmp_path, grid):
+    expected = ANALYTIC[grid]
+    assert cli.main(["analytic", "--surface", "--shrinkage", "--threshold",
+                     *ANALYTIC_ARGS[grid], "--out", str(tmp_path)]) == 0
+    assert {name: _sha256(tmp_path / name) for name in expected} == expected
+
+
+@pytest.mark.parametrize("error_rate", sorted(GAP_SHIFT))
+def test_gap_shift_is_byte_identical(tmp_path, error_rate):
+    assert cli.main(["response", "--n-data", "50", "--n-feats", "80", "--seed", "2",
+                     "--error-rate", error_rate, "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "gap_shift.csv") == GAP_SHIFT[error_rate]

@@ -385,3 +385,84 @@ def test_gap_shift_input_validation():
         sg.GapShiftInput(_params(), 0.1, -1.0, 0.0)
     with pytest.raises(sg.SurrogateError):
         sg.MeanFieldParams(5.0, 5.0, 10, 1.5)
+
+
+# ---------- grid evaluators against the per-beta reference ----------
+
+def _per_beta_admissible(n: int, beta: float, case: str, branch: str) -> bool:
+    """admissible(), with a beta at a pole counted as inadmissible."""
+    try:
+        return sg.admissible(sg.SurrogateSpec(n, beta, case, branch))
+    except sg.DomainError:
+        return False
+
+
+@pytest.mark.parametrize("n,branch", [(4, "plus"), (10, "plus"), (10, "minus"), (12, "minus")])
+def test_grid_evaluators_match_per_beta_reference(n, branch):
+    # a grid from 0 to 4 that crosses ln(N-1) and ln(N-3), with points on,
+    # inside and just outside each pole's POLE_TOL window
+    poles = [math.log(n - 1), math.log(n - 3)]
+    offsets = [0.0, 0.5 * sg.POLE_TOL, -0.5 * sg.POLE_TOL, 2.0 * sg.POLE_TOL]
+    grid = np.sort(np.r_[np.arange(0.0, 4.0 + 1e-12, 0.05), [p + d for p in poles for d in offsets]])
+    er = 0.3
+    ref = {}
+    for case, true_class in (("correct", 0), ("misclassified", 1)):
+        ok = [_per_beta_admissible(n, float(b), case, branch) for b in grid]
+        true, other = sg.printed_coefficients(grid, n, case, branch)
+        assert np.array_equal(~np.isnan(true), ok) and np.array_equal(~np.isnan(other), ok)
+        loss = []
+        for b, b_ok, t, o in zip(grid, ok, true, other):
+            if not b_ok:
+                loss.append(float("nan"))
+                continue
+            if case == "correct":
+                assert t == o == sg.f_pm(float(b), n, branch)
+            else:
+                g, _, psi = sg.misclassified_coeffs(float(b), n, branch)
+                assert (t, o) == (g, psi)
+            spec = sg.SurrogateSpec(n, float(b), case, branch)
+            loss.append(sg.exact_ce(sg.surrogate_logit(spec, true_class, 0), true_class))
+        ref[case] = ok, loss
+    assert any(ref["correct"][0]) and any(ref["misclassified"][0])
+    assert not all(ref["misclassified"][0])
+
+    surf = sg.mean_field_loss_surface(grid, grid, n, er, branch)
+    shrink = sg.gap_shrinkage_surface(grid, grid, n, er, branch)
+    (ok_c, loss_c), (ok_w, loss_w) = ref["correct"], ref["misclassified"]
+    for i, bc in enumerate(grid):
+        for j, bw in enumerate(grid):
+            if not (ok_c[i] and ok_w[j]):
+                assert np.isnan(surf[i, j]) and np.isnan(shrink[i, j])
+                continue
+            assert surf[i, j] == (1.0 - er) * loss_c[i] + er * loss_w[j]
+            params = sg.MeanFieldParams(float(bc), float(bw), n, er)
+            assert shrink[i, j] == sg.gap_shrinkage(sg.GapShiftInput(params, 0.0, 1.0, 1.0), branch)
+
+
+def test_grid_evaluators_validate_their_arguments():
+    grid = np.array([4.0, 5.0])
+    for surface in (sg.mean_field_loss_surface, sg.gap_shrinkage_surface):
+        with pytest.raises(sg.SurrogateError, match="error_rate"):
+            surface(grid, grid, 10, 5.0)
+        with pytest.raises(sg.SurrogateError, match="n_classes >= 3"):
+            surface(grid, grid, 2, 0.2)
+    with pytest.raises(sg.SurrogateError, match="unknown branch"):
+        sg.printed_coefficients(grid, 10, "correct", "both")
+
+
+def test_shrinkage_surface_matches_scalar_on_dense_slices():
+    # 10,000 betas per slice: squaring a gap by multiplication instead of
+    # pow, as float ** 2 does, changes several of them
+    grid = np.arange(0.0, 20.0, 0.002)
+    n, er, fixed = 10, 0.3, 5.0
+    slices = (
+        ("correct", sg.gap_shrinkage_surface(grid, [fixed], n, er)[:, 0], lambda b: (b, fixed)),
+        ("misclassified", sg.gap_shrinkage_surface([fixed], grid, n, er)[0], lambda b: (fixed, b)),
+    )
+    for case, values, betas in slices:
+        for b, v in zip(grid.tolist(), values.tolist()):
+            if not _per_beta_admissible(n, b, case, "plus"):
+                assert math.isnan(v)
+                continue
+            params = sg.MeanFieldParams(*betas(b), n, er)
+            assert v == sg.gap_shrinkage(sg.GapShiftInput(params, 0.0, 1.0, 1.0))
