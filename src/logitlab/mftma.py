@@ -9,6 +9,12 @@ min ||V - T||^2 s.t. V.(s, 1) <= -kappa, a nonnegative least-squares problem
 manifold radius R_M, dimension D_M, center correlation rho_center, the
 alpha_Ball/alpha_Point quadratures, center null-space projection, and an
 empirical separability-bisection capacity are also provided.
+
+The empirical capacity calls a dichotomy separable when its box margin
+max_{||w||_inf <= 1} min_i y_i w.x_i exceeds 1e-9. One NNLS on the
+least-distance form of the problem gives a lower and an upper bound on that
+margin, and these decide; the HiGHS LP is the fallback for the rare case
+where the bounds straddle the tolerance.
 """
 
 from __future__ import annotations
@@ -75,8 +81,8 @@ def anchor_point(
     appended implicitly as 1). Returns (s_tilde, weights); s_tilde is the
     interior sentinel when T is already feasible.
     """
-    if kappa < 0:
-        raise MftmaError("kappa must be nonnegative")
+    if not 0.0 <= kappa < np.inf:
+        raise MftmaError("kappa must be finite and nonnegative")
     cloud = np.asarray(cloud, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     m = cloud.shape[0]
@@ -231,21 +237,69 @@ def alpha_point(kappa: float) -> float:
     return 1.0 / val
 
 
-def _separable(points: np.ndarray, labels: np.ndarray, tol: float = 1e-9) -> bool:
-    """Margin-positive homogeneous linear separability via LP.
+def _margin_bounds(signed: np.ndarray) -> tuple[float, float]:
+    """Bounds lower <= m* <= upper on the box margin
+    m* = max over ||w||_inf <= 1 of min_i s_i.w, from one NNLS.
 
-    Maximizes the margin m subject to label_i (w . x_i) >= m and the box
-    ||w||_inf <= 1.
+    The least-distance problem min ||w|| s.t. S w >= 1 is nnls(E, f) with
+    E = [S^T; 1^T] and f = e_{d+1} (Lawson & Hanson 1974, ch. 23); let
+    r = E u - f.
+    - lower: if r[-1] < 0, w = -r[:-1] / r[-1] solves it, and w / ||w||_inf
+      is box-feasible with margin min(S w) / ||w||_inf.
+    - upper: lam = u / sum(u) weighs the signed points, and for every
+      box-feasible w, min_i s_i.w <= lam^T S w <= ||S^T lam||_1.
+    Raises RuntimeError when NNLS does not converge.
     """
-    n_pts, dim = points.shape
+    e = np.vstack([signed.T, np.ones(signed.shape[0])])
+    f = np.zeros(e.shape[0])
+    f[-1] = 1.0
+    u, _ = nnls(e, f)
+    r = e @ u - f
+    lower, upper = 0.0, np.inf
+    if r[-1] < 0.0:
+        w = -r[:-1] / r[-1]
+        scale = np.abs(w).max()
+        if scale > 0.0:
+            lower = max(float((signed @ w).min()) / scale, 0.0)
+    total = u.sum()
+    if total > 0.0:
+        upper = float(np.abs(signed.T @ (u / total)).sum())
+    return lower, upper
+
+
+def _separable(points: np.ndarray, labels: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether the box margin m* (see _margin_bounds) of the signed points
+    labels_i * x_i exceeds tol: homogeneous linear separability.
+
+    The NNLS certificates decide: a lower bound above tol means separable,
+    an upper bound at or below tol means not. Only when neither holds (a
+    margin within NNLS rounding of tol) or NNLS does not converge does the
+    box-margin LP decide, and an LP that fails to solve raises MftmaError.
+    """
     signed = labels[:, None] * points
+    try:
+        lower, upper = _margin_bounds(signed)
+    except RuntimeError:
+        lower, upper = 0.0, np.inf
+    if lower > tol:
+        return True
+    if upper <= tol:
+        return False
+    return _separable_lp(signed, tol)
+
+
+def _separable_lp(signed: np.ndarray, tol: float) -> bool:
+    """The box-margin LP: maximize m s.t. signed.w >= m, ||w||_inf <= 1."""
+    n_pts, dim = signed.shape
     # variables: w (dim), m; constraints: -signed.w + m <= 0
     a_ub = np.hstack([-signed, np.ones((n_pts, 1))])
     c = np.zeros(dim + 1)
     c[-1] = -1.0
     bounds = [(-1.0, 1.0)] * dim + [(0.0, None)]
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n_pts), bounds=bounds, method="highs")
-    return bool(res.success) and float(res.x[-1]) > tol
+    if not res.success:
+        raise MftmaError(f"separability LP failed (status {res.status}): {res.message}")
+    return float(res.x[-1]) > tol
 
 
 def _separable_fraction(
@@ -275,6 +329,8 @@ def empirical_capacity(
     """P over the critical projected dimension at 50% separability."""
     if mset.P < 2:
         raise MftmaError("need at least two manifolds")
+    if n_dichotomies < 1:
+        raise MftmaError("n_dichotomies must be >= 1")
     n_amb = mset.ambient_dim
     lo, hi = 1, n_amb
     if _separable_fraction(mset, lo, n_dichotomies, seed) >= 0.5:

@@ -44,7 +44,10 @@ def _svg(body: list[str]) -> str:
 
 def render_histogram(csv_path: str | Path, svg_path: str | Path) -> None:
     """Bar chart from a (bin_left, bin_right, count) CSV."""
-    header, rows = _read_rows(Path(csv_path))
+    _histogram(csv_path, *_read_rows(Path(csv_path)), svg_path)
+
+
+def _histogram(csv_path, header: list[str], rows: list[list[float]], svg_path) -> None:
     if len(header) < 3 or not rows:
         raise ReportError(f"{csv_path}: expected bin_left,bin_right,count rows")
     lo = rows[0][0]
@@ -75,7 +78,10 @@ def render_histogram(csv_path: str | Path, svg_path: str | Path) -> None:
 
 def render_heatmap(csv_path: str | Path, svg_path: str | Path) -> None:
     """Grid heatmap from an (x, y, value) CSV; NaN cells are left blank."""
-    header, rows = _read_rows(Path(csv_path))
+    _heatmap(csv_path, *_read_rows(Path(csv_path)), svg_path)
+
+
+def _heatmap(csv_path, header: list[str], rows: list[list[float]], svg_path) -> None:
     if len(header) < 3 or not rows:
         raise ReportError(f"{csv_path}: expected x,y,value rows")
     xs = sorted({r[0] for r in rows})
@@ -115,7 +121,8 @@ _HEAT_HEADERS = ("beta_correct", "x")
 
 
 def emit_report(directory: str | Path) -> list[Path]:
-    """Render an SVG next to every recognized CSV in the directory."""
+    """Render an SVG next to every recognized CSV in the directory; each CSV
+    is parsed once, for its kind and its drawing."""
     directory = Path(directory)
     produced = []
     csvs = sorted(directory.glob("*.csv"))
@@ -127,9 +134,9 @@ def emit_report(directory: str | Path) -> list[Path]:
             continue
         out = path.with_suffix(".svg")
         if header[0] in _HEAT_HEADERS:
-            render_heatmap(path, out)
+            _heatmap(path, header, rows, out)
         elif header[0] in _HIST_HEADERS or len(header) == 3:
-            render_histogram(path, out)
+            _histogram(path, header, rows, out)
         else:
             continue
         produced.append(out)

@@ -71,8 +71,9 @@ class ResponseProblem:
         if np.abs(norms - 1.0).max() > 1e-12:
             i = int(np.argmax(np.abs(norms - 1.0)))
             raise ResponseError(f"row {i} of X is not unit-normalized")
-        if self.sigma0 < 0 or self.c <= 0 or self.epsilon < 0:
-            raise ResponseError("sigma0 >= 0, c > 0, epsilon >= 0 required")
+        if not (0 <= self.sigma0 < np.inf and 0 < self.c < np.inf
+                and 0 <= self.epsilon < np.inf):
+            raise ResponseError("finite sigma0 >= 0, c > 0, epsilon >= 0 required")
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Z_tilde", z)
 
@@ -249,28 +250,28 @@ def gap_shift_experiment(
     if n_data < 1 or n_feats < 1:
         raise ResponseError("n_data and n_feats must be >= 1")
     n = params.n_classes
+    # gap_shrinkage reads both cases, so both betas are checked before any draw
+    beta_w, g, psi = surrogate_logit(
+        SurrogateSpec(n, params.beta_wrong, "misclassified", branch), 1, 0)[:3]
+    beta_c, f = surrogate_logit(SurrogateSpec(n, params.beta_correct, "correct", branch), 0, 0)[:2]
     rng = substream(seed, 1)
     x = rng.standard_normal((n_data, n_feats))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
 
     n_wrong = int(round(params.error_rate * n_data))
     labels = rng.integers(0, n, size=n_data)
-    spec_c = SurrogateSpec(n, params.beta_correct, "correct", branch)
-    spec_w = SurrogateSpec(n, params.beta_wrong, "misclassified", branch)
     correct_mask = np.arange(n_data) >= n_wrong
     wrong = ~correct_mask
     # each sample's row is its case's surrogate logit moved onto its classes
     z = np.empty((n_data, n))
     if n_wrong:
         argmax = (labels[wrong] + 1 + rng.integers(0, n - 1, size=n_wrong)) % n
-        beta, g, psi = surrogate_logit(spec_w, 1, 0)[:3]
         z[wrong] = psi
         z[wrong, labels[wrong]] = g
-        z[wrong, argmax] = beta
+        z[wrong, argmax] = beta_w
     if n_wrong < n_data:
-        beta, f = surrogate_logit(spec_c, 0, 0)[:2]
         z[correct_mask] = f
-        z[correct_mask, labels[correct_mask]] = beta
+        z[correct_mask, labels[correct_mask]] = beta_c
 
     problem = ResponseProblem(
         X=x, Z_tilde=z, labels=LabelVector(labels),

@@ -13,6 +13,7 @@ Labels and flags are one integer per line.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
@@ -36,6 +37,24 @@ class ValidationError(StoreError):
     """Component invariant violation; message names the offending index."""
 
 
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """arr, if it is a valid logit matrix; else ValidationError naming why."""
+    if arr.ndim != 2:
+        raise ValidationError(f"logit matrix must be 2-D, got ndim={arr.ndim}")
+    if arr.shape[0] < 1:
+        raise ValidationError("logit matrix needs at least one row")
+    if arr.shape[1] < 2:
+        raise ValidationError("logit matrix needs at least two columns")
+    if not np.isfinite(arr).all():
+        r, c = _first_non_finite(arr)
+        raise ValidationError(f"non-finite logit at row {r}, column {c}")
+    return arr
+
+
+def _first_non_finite(arr: np.ndarray) -> tuple:
+    return tuple(np.argwhere(~np.isfinite(arr))[0])
+
+
 @dataclass(frozen=True)
 class LogitMatrix:
     """N_data x N_classes matrix of finite float64 logits."""
@@ -43,18 +62,7 @@ class LogitMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError(f"logit matrix must be 2-D, got ndim={arr.ndim}")
-        if arr.shape[0] < 1:
-            raise ValidationError("logit matrix needs at least one row")
-        if arr.shape[1] < 2:
-            raise ValidationError("logit matrix needs at least two columns")
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            r, c = bad[0]
-            raise ValidationError(f"non-finite logit at row {r}, column {c}")
-        arr = arr.copy()
+        arr = _checked(np.asarray(self.values, dtype=np.float64)).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -181,24 +189,38 @@ def load_matrix(path: str | Path, format: str = "binary") -> LogitMatrix:
 
 def _load_binary(path: Path) -> LogitMatrix:
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as f:
+            head = f.read(12)
+            if len(head) < 12 or head[:4] != MAGIC:
+                raise ParseError(f"{path}: missing LGT1 header")
+            rows, cols = struct.unpack("<II", head[4:12])
+            size = 8 * rows * cols
+            payload = os.fstat(f.fileno()).st_size - 12
+            if payload == size:  # checked before the array is allocated
+                vals = np.empty((rows, cols), dtype="<f8")
+                payload = f.readinto(vals)
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e
-    if len(raw) < 12 or raw[:4] != MAGIC:
-        raise ParseError(f"{path}: missing LGT1 header")
-    rows, cols = struct.unpack("<II", raw[4:12])
-    expect = 12 + 8 * rows * cols
-    if len(raw) != expect:
+    if payload != size:
         raise ParseError(
-            f"{path}: payload is {len(raw) - 12} bytes, header promises "
-            f"{8 * rows * cols} ({rows}x{cols})"
+            f"{path}: payload is {payload} bytes, header promises {size} ({rows}x{cols})"
         )
-    vals = np.frombuffer(raw, dtype="<f8", offset=12).reshape(rows, cols)
-    bad = np.argwhere(~np.isfinite(vals))
-    if bad.size:
-        r, c = bad[0]
-        raise ParseError(f"{path}: non-finite value at row {r}, column {c}")
-    return LogitMatrix(vals.astype(np.float64))
+    try:
+        return _adopt(vals.astype(np.float64, copy=False))
+    except ValidationError:
+        if np.isfinite(vals).all():
+            raise
+        r, c = _first_non_finite(vals)
+        raise ParseError(f"{path}: non-finite value at row {r}, column {c}") from None
+
+
+def _adopt(arr: np.ndarray) -> LogitMatrix:
+    """A LogitMatrix over arr itself: the constructor's checks without its
+    copy, for an array just read that nothing else references."""
+    m = object.__new__(LogitMatrix)
+    _checked(arr).setflags(write=False)
+    object.__setattr__(m, "values", arr)
+    return m
 
 
 def _read_text(path: Path) -> str:

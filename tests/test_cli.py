@@ -204,13 +204,24 @@ def test_cli_reproducible_responses(tmp_path):
      "beta=-0.5 is inadmissible for case=correct, branch=plus, N=10"),
     (["response", "--beta-correct", "2.1972245773362196", "--n-data", "20", "--n-feats", "10"],
      4, "beta at pole ln(N-1) = ln(9)"),
+    (["response", "--error-rate", "0", "--beta-wrong", "1.0", "--n-data", "20",
+      "--n-feats", "10"], 4, "beta=1.0 is inadmissible for case=misclassified, branch=plus, N=10"),
+    (["response", "--error-rate", "1", "--beta-correct", "-0.5", "--n-data", "20",
+      "--n-feats", "10"], 4, "beta=-0.5 is inadmissible for case=correct, branch=plus, N=10"),
+    (["response", "--epsilon", "nan", "--n-data", "20", "--n-feats", "10"], 4,
+     "finite sigma0 >= 0, c > 0, epsilon >= 0 required"),
+    (["response", "--c", "inf", "--n-data", "20", "--n-feats", "10"], 4,
+     "finite sigma0 >= 0, c > 0, epsilon >= 0 required"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
         "analytic_error_rate", "analytic_threshold_error_rate", "analytic_empty_grid",
         "analytic_grid_cap", "analytic_epsilon_removed", "analytic_seed_removed",
         "analytic_format_removed", "response_format_removed", "response_beta_wrong_inadmissible",
-        "response_beta_correct_inadmissible", "response_beta_correct_at_pole"])
+        "response_beta_correct_inadmissible", "response_beta_correct_at_pole",
+        "response_beta_wrong_inadmissible_no_wrong_samples",
+        "response_beta_correct_inadmissible_no_correct_samples",
+        "response_epsilon_nan", "response_c_inf"])
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]
     argv = [a.format(d=d) for a in argv] + ["--out", str(d / "out")]

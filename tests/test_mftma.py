@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult, linprog
 from scipy.stats import norm
 
 from logitlab import mftma as mf
@@ -111,6 +112,12 @@ def test_anchor_exhaustive_oracle():
 def test_anchor_kappa_validation():
     with pytest.raises(mf.MftmaError):
         mf.anchor_point(np.zeros((1, 2)), np.zeros(2), 0.0, kappa=-1.0)
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf])
+def test_anchor_kappa_must_be_finite(kappa):
+    with pytest.raises(mf.MftmaError, match="kappa must be finite and nonnegative"):
+        mf.anchor_point(np.zeros((1, 2)), np.zeros(2), 0.0, kappa=kappa)
 
 
 # ---------- capacity ----------
@@ -225,6 +232,13 @@ def test_empirical_capacity_bounded():
     assert 0 < cap <= mset.P
 
 
+@pytest.mark.parametrize("n_dichotomies", [0, -1])
+def test_empirical_capacity_needs_a_dichotomy(n_dichotomies):
+    mset = _ball_set(np.random.default_rng(18), p=3, m=4)
+    with pytest.raises(mf.MftmaError, match="n_dichotomies must be >= 1"):
+        mf.empirical_capacity(mset, n_dichotomies=n_dichotomies)
+
+
 def test_manifold_set_validation():
     with pytest.raises(mf.MftmaError):
         mf.ManifoldSet(())
@@ -262,3 +276,131 @@ def test_anchor_kkt_oracle_with_margin(kappa):
         assert slack.max() <= 1e-9
         assert np.abs(a * slack).max() <= 1e-9
     assert anchors > 0
+
+
+# ---------- separability ----------
+
+def _lp_margin(points, labels):
+    """The box-margin LP that decided separability on its own before the
+    NNLS certificates: m* = max m s.t. y_i w.x_i >= m, ||w||_inf <= 1."""
+    n_pts, dim = points.shape
+    signed = labels[:, None] * points
+    a_ub = np.hstack([-signed, np.ones((n_pts, 1))])
+    c = np.zeros(dim + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n_pts),
+                  bounds=[(-1.0, 1.0)] * dim + [(0.0, None)], method="highs")
+    assert res.success
+    return float(res.x[-1])
+
+
+def _recorded_calls(monkeypatch, mset, n_dichotomies, seed):
+    """Every (points, labels) the bisection of empirical_capacity decides."""
+    calls = []
+    separable = mf._separable
+
+    def record(points, labels, tol=1e-9):
+        calls.append((points, labels))
+        return separable(points, labels, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(mf, "_separable", record)
+        mf.empirical_capacity(mset, n_dichotomies=n_dichotomies, seed=seed)
+    return calls
+
+
+def test_separable_matches_lp(monkeypatch):
+    cases = []
+    rng = np.random.default_rng(30)
+    # the bench's ball geometry: 12 manifolds x 40 points, ambient 40, at
+    # every projected dimension its bisection visits
+    for seed in range(3):
+        cases += _recorded_calls(monkeypatch, _ball_set(rng, p=12, d=4, radius=0.4, m=40),
+                                 10, seed)
+    # criterion 8's balls
+    cases += _recorded_calls(monkeypatch, _ball_set(rng, p=12, d=4, radius=0.3, m=40), 10, 20)
+    # Gaussian point clouds around the point capacity n = 2d
+    for _ in range(300):
+        d = int(rng.integers(1, 25))
+        n = int(rng.integers(max(2, d), 4 * d + 3))
+        cases.append((rng.standard_normal((n, d)), rng.choice([-1.0, 1.0], size=n)))
+    assert len(cases) >= 500
+    decisions = [mf._separable(p, y) for p, y in cases]
+    assert decisions == [_lp_margin(p, y) > 1e-9 for p, y in cases]
+    assert 100 <= sum(decisions) <= len(cases) - 100  # both outcomes are tested
+
+
+def test_margin_bounds_sandwich_lp_margin():
+    rng = np.random.default_rng(31)
+    for _ in range(120):
+        d = int(rng.integers(1, 8))
+        n = int(rng.integers(1, 3 * d + 3))
+        points = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2)
+        labels = rng.choice([-1.0, 1.0], size=n)
+        lower, upper = mf._margin_bounds(labels[:, None] * points)
+        m_star = _lp_margin(points, labels)
+        slack = 1e-9 * max(1.0, m_star)
+        assert lower - slack <= m_star <= upper + slack
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("the NNLS certificates should have decided")
+
+
+def test_certificates_decide_without_lp(monkeypatch):
+    monkeypatch.setattr(mf, "_separable_lp", _no_lp)
+    # {x, -x}: 0 is the midpoint, so no w has both margins positive
+    x = np.array([[0.3, -1.2, 2.0]])
+    pair = np.vstack([x, -x])
+    lower, upper = mf._margin_bounds(pair)
+    assert lower == 0.0 and upper <= 1e-15
+    assert not mf._separable(pair, np.ones(2))
+    # (+-1, delta) has box margin exactly delta, at w = (0, 1)
+    delta = 1e-3
+    two = np.array([[1.0, delta], [-1.0, delta]])
+    lower, upper = mf._margin_bounds(two)
+    assert lower == pytest.approx(delta, rel=1e-12)
+    assert upper == pytest.approx(delta, rel=1e-12)
+    assert mf._separable(two, np.ones(2), tol=0.9 * delta)
+    assert not mf._separable(two, np.ones(2), tol=1.1 * delta)
+    # below the default tolerance the upper bound decides
+    assert not mf._separable(np.array([[1.0, 5e-10], [-1.0, 5e-10]]), np.ones(2))
+
+
+def test_lp_decides_within_nnls_rounding_of_tol(monkeypatch):
+    # margin 2e-9 > tol, but the least-distance solution has norm 5e8, so its
+    # residual is lost to rounding and only the LP can tell
+    lp_calls = []
+    lp = mf._separable_lp
+    monkeypatch.setattr(mf, "_separable_lp", lambda *a: lp_calls.append(a) or lp(*a))
+    assert mf._separable(np.array([[1.0, 2e-9], [-1.0, 2e-9]]), np.ones(2))
+    assert len(lp_calls) == 1
+
+
+def test_nnls_failure_falls_back_to_lp(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(mf, "nnls", no_convergence)
+    rng = np.random.default_rng(32)
+    lp_calls = []
+    lp = mf._separable_lp
+    monkeypatch.setattr(mf, "_separable_lp", lambda *a: lp_calls.append(a) or lp(*a))
+    for n in (3, 6, 12, 20):
+        points = rng.standard_normal((n, 4))
+        labels = rng.choice([-1.0, 1.0], size=n)
+        assert mf._separable(points, labels) == (_lp_margin(points, labels) > 1e-9)
+    assert len(lp_calls) == 4
+
+
+def test_failed_lp_raises(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    def failed_lp(*args, **kwargs):
+        return OptimizeResult(success=False, status=4, message="numerical difficulties")
+
+    monkeypatch.setattr(mf, "nnls", no_convergence)
+    monkeypatch.setattr(mf, "linprog", failed_lp)
+    with pytest.raises(mf.MftmaError, match=r"separability LP failed \(status 4\)"):
+        mf._separable(np.eye(3), np.ones(3))

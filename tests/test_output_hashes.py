@@ -1,5 +1,5 @@
-"""Byte-identity gate for the forge outputs, the stats CSVs and the
-surrogate-model artifacts.
+"""Byte-identity gate for the forge outputs, the stats CSVs, the
+surrogate-model artifacts and the SVGs `report` draws from them.
 
 The forge and stats inputs are small seeded matrices rounded to one decimal,
 so rows hold ties and the tie order (ascending class index) decides the
@@ -132,3 +132,32 @@ def test_gap_shift_is_byte_identical(tmp_path, error_rate):
     assert cli.main(["response", "--n-data", "50", "--n-feats", "80", "--seed", "2",
                      "--error-rate", error_rate, "--out", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "gap_shift.csv") == GAP_SHIFT[error_rate]
+
+
+# Hashes taken from the renderers that parsed each CSV twice.
+REPORT = {
+    "stats": {
+        "max_logit.svg": "48cdbef4525b0117e8dec363f60f3389a04fcb2beb303d611a9adfe2638e0403",
+        "max_logit_summary.svg": "6e2460f10d522d7263bce60b9c31ebf50be416e30dd45e1adc4ad63e53ba564e",
+        "gap_hist.svg": "e168d493e2b7d8636498f7806249c91dbb9338910e9c3d67d72088e1be020e98",
+        "gap_accuracy.svg": "368e35ef47f78133c5231c4bc9a415aafcc7de1547cd81edbdfc38e121ace9ff",
+    },
+    "analytic": {
+        "loss_surface.svg": "977ac9d05382c87ebbf472f92d0269faaa87bb1930fde1ff2fbed73a636602f4",
+        "gap_shrinkage.svg": "8f9726d689c0a3b88fdc5e8f27653279a845476fb9d3494e989a0b8f4106773c",
+    },
+}
+
+
+def test_report_svgs_are_byte_identical(inputs, tmp_path):
+    d = inputs
+    assert cli.main(["stats", "--logits", str(d / "a.binary"), "--labels", str(d / "y.txt"),
+                     "--flags", str(d / "f.txt"), "--bin-width", "0.5", "--min-count", "8",
+                     "--out", str(tmp_path / "stats")]) == 0
+    assert cli.main(["analytic", "--surface", "--shrinkage", "--threshold",
+                     *ANALYTIC_ARGS["readme"], "--out", str(tmp_path / "analytic")]) == 0
+    for run, expected in REPORT.items():
+        assert cli.main(["report", "--out", str(tmp_path / run)]) == 0
+        svgs = {p.name for p in (tmp_path / run).glob("*.svg")}
+        assert svgs == set(expected)
+        assert {name: _sha256(tmp_path / run / name) for name in expected} == expected

@@ -108,6 +108,46 @@ def test_truncated_binary(tmp_path):
         load_matrix(p, "binary")
 
 
+@pytest.mark.parametrize("rows,cols,bad,message", [
+    (3, 4, [(1, 2, np.nan)], "non-finite value at row 1, column 2"),
+    (3, 4, [(2, 3, -np.inf), (0, 1, np.inf)], "non-finite value at row 0, column 1"),
+    (2, 1, [(1, 0, np.nan)], "non-finite value at row 1, column 0"),  # before the shape
+])
+def test_non_finite_binary_payload(tmp_path, rows, cols, bad, message):
+    vals = np.arange(rows * cols, dtype="<f8").reshape(rows, cols)
+    for r, c, v in bad:
+        vals[r, c] = v
+    p = tmp_path / "m.lgt"
+    p.write_bytes(b"LGT1" + np.array([rows, cols], "<u4").tobytes() + vals.tobytes())
+    with pytest.raises(ParseError) as info:
+        load_matrix(p, "binary")
+    assert str(info.value) == f"{p}: {message}"
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"LGT", "missing LGT1 header"),
+    (b"LGT2" + bytes(8), "missing LGT1 header"),
+    (b"LGT1" + np.array([2, 2], "<u4").tobytes() + bytes(28),
+     "payload is 28 bytes, header promises 32 (2x2)"),
+    (b"LGT1" + np.array([1, 2], "<u4").tobytes() + bytes(24),
+     "payload is 24 bytes, header promises 16 (1x2)"),
+], ids=["short", "bad_magic", "truncated", "trailing"])
+def test_binary_failure_messages(tmp_path, raw, message):
+    p = tmp_path / "m.lgt"
+    p.write_bytes(raw)
+    with pytest.raises(ParseError) as info:
+        load_matrix(p, "binary")
+    assert str(info.value) == f"{p}: {message}"
+
+
+def test_binary_load_owns_a_read_only_array(tmp_path):
+    p = tmp_path / "m.lgt"
+    store_matrix(LogitMatrix([[1.0, 2.0], [3.0, 4.0]]), p, "binary")
+    m = load_matrix(p, "binary")
+    assert m.values.flags.owndata and not m.values.flags.writeable
+    assert m == LogitMatrix([[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_matrix_invariants():
     with pytest.raises(ValidationError):
         LogitMatrix(np.empty((0, 2)))
