@@ -34,6 +34,17 @@ class UsageError(Exception):
     pass
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer, as numpy's SeedSequence requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -72,21 +83,24 @@ def _csv(path: Path, header: str, rows) -> Path:
 
 def _cmd_stats(args) -> int:
     bundle = _load_bundle(args)
+    # every result exists before the first CSV is written, so a failing
+    # statistic leaves no partial output
+    ml = stats.max_logit_distribution(bundle.logits, args.bin_width)
+    gaps = stats.logit_gaps(bundle.logits)
+    gd = stats.gap_distribution(bundle.logits, args.bin_width)
+    curve = (None if bundle.flags is None
+             else stats.gap_accuracy_curve(bundle, args.bin_width, args.min_count))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    ml = stats.max_logit_distribution(bundle.logits, args.bin_width)
     outputs.append(_csv(out / "max_logit.csv", "bin_left,bin_right,count", ml.histogram))
     outputs.append(
         _csv(out / "max_logit_summary.csv", "mean,std,skewness",
              [(ml.mean, ml.std, ml.skewness)])
     )
-    gaps = stats.logit_gaps(bundle.logits)
     outputs.append(_csv(out / "gaps.csv", "gap", [(float(g),) for g in gaps]))
-    gd = stats.gap_distribution(bundle.logits, args.bin_width)
     outputs.append(_csv(out / "gap_hist.csv", "bin_left,bin_right,count", gd.histogram))
-    if bundle.flags is not None:
-        curve = stats.gap_accuracy_curve(bundle, args.bin_width, args.min_count)
+    if curve is not None:
         outputs.append(
             _csv(out / "gap_accuracy.csv",
                  "gap_low,gap_high,n_samples,adversarial_accuracy", curve.bins)
@@ -205,6 +219,10 @@ def _cmd_mftma(args) -> int:
     if args.project_centers:
         mset = mftma.project_null_centers(mset)
     result = mftma.mftma_capacity(mset, args.n_samples, args.kappa, args.seed)
+    # both results exist before either CSV is written, so a failing
+    # empirical run leaves no mftma.csv behind
+    cap = (mftma.empirical_capacity(mset, args.n_dichotomies, args.seed)
+           if args.empirical else None)
     rows = [(
         result.alpha_mftma, result.radius, result.dimension,
         result.center_correlation, result.n_gaussian_samples, result.seed,
@@ -213,8 +231,7 @@ def _cmd_mftma(args) -> int:
         _csv(out / "mftma.csv",
              "alpha_mftma,radius,dimension,center_correlation,n_samples,seed", rows)
     ]
-    if args.empirical:
-        cap = mftma.empirical_capacity(mset, args.n_dichotomies, args.seed)
+    if cap is not None:
         outputs.append(
             _csv(out / "empirical_capacity.csv", "alpha_empirical", [(cap,)])
         )
@@ -238,7 +255,7 @@ def build_parser() -> _Parser:
             p.add_argument("--logits", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=("text", "binary"), default="binary")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("stats", help="distributional statistics")
     common(p)
@@ -279,7 +296,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("response", help="linear-response gap-shift experiment")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--n-data", type=int, default=200, dest="n_data")
     p.add_argument("--n-feats", type=int, default=100, dest="n_feats")
     p.add_argument("--n-classes", type=int, default=10, dest="n_classes")

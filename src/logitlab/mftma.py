@@ -15,6 +15,9 @@ max_{||w||_inf <= 1} min_i y_i w.x_i exceeds 1e-9. One NNLS on the
 least-distance form of the problem gives a lower and an upper bound on that
 margin, and these decide; the HiGHS LP is the fallback for the rare case
 where the bounds straddle the tolerance.
+
+``quad``, ``linprog`` and ``nnls`` are module-level forwarding functions that
+import scipy on their first call, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -22,10 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import linprog, nnls
 
+from . import _lazy
 from .rng import substream
+
+quad = _lazy("scipy.integrate", "quad")
+linprog = _lazy("scipy.optimize", "linprog")
+nnls = _lazy("scipy.optimize", "nnls")
 
 
 class MftmaError(Exception):

@@ -8,6 +8,9 @@ closed-form solution we get per-sample Jacobians, their Gram matrices, and
 the first-order logit response to a gradient-direction (FGSM) attack. All of
 them come from one eigendecomposition of the smaller Gram matrix, X^T X or
 X X^T.
+
+``brentq`` is a module-level forwarding function that imports scipy on its
+first call, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
+from . import _lazy
 from .rng import substream
 from .stats import logit_gaps, softmax
 from .store import LabelVector, LogitMatrix
@@ -28,6 +31,8 @@ from .surrogate import (
     gap_shrinkage,
     surrogate_logit,
 )
+
+brentq = _lazy("scipy.optimize", "brentq")
 
 
 class ResponseError(Exception):

@@ -8,6 +8,7 @@ cosine-similarity neighbor queries.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -57,14 +58,21 @@ def descending_order(values: np.ndarray) -> np.ndarray:
 
 
 def _check_bins(lo: float, hi: float, bin_width: float) -> None:
-    """Refuse a histogram of [lo, hi] that would need more than MAX_BINS bins."""
+    """Refuse a histogram of [lo, hi] that would need more than MAX_BINS bins,
+    or whose outer bin edges would leave the float range."""
     # Python floats: an overflow gives inf (refused) rather than a warning
-    n_bins = (float(hi) - float(lo)) / bin_width + 2
+    lo, hi = float(lo), float(hi)
+    n_bins = (hi - lo) / bin_width + 2
     if not n_bins <= MAX_BINS:
         raise StatsError(
             f"bin_width {bin_width:g} needs about {n_bins:.3g} histogram bins, "
             f"more than {MAX_BINS}"
         )
+    # the edges run from floor(lo / w) * w to at most (floor(hi / w) + 1) * w;
+    # an infinite or huge w, or huge values over a fine w, overflow them
+    span = ((hi / bin_width) // 1 + 1 - (lo / bin_width) // 1) * bin_width
+    if not math.isfinite(span):
+        raise StatsError(f"bin_width {bin_width:g} puts histogram bin edges beyond float range")
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -140,6 +148,8 @@ def gap_accuracy_curve(
         raise StatsError("gap_accuracy_curve requires robustness flags")
     if bin_width <= 0:
         raise StatsError("bin_width must be positive")
+    if min_count < 1:
+        raise StatsError(f"min_count must be >= 1, got {min_count}")
     gaps = logit_gaps(bundle.logits)
     _check_bins(0.0, gaps.max(), bin_width)
     flags = bundle.flags.flags.astype(np.float64)
@@ -284,7 +294,7 @@ def cosine_neighbors(m: LogitMatrix, seed_row: int, n: int) -> list[tuple[int, f
     nv = np.linalg.norm(v)
     if nv == 0:
         raise StatsError("seed row has zero norm")
-    norms = np.linalg.norm(m.values, axis=1)
+    norms = m.row_norms
     if (norms == 0).any():
         raise StatsError(f"row {int(np.argmax(norms == 0))} has zero norm")
     sims = m.values @ v / (norms * nv)

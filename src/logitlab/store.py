@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
@@ -73,6 +74,13 @@ class LogitMatrix:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """Euclidean norm of each row (read-only), computed on first use."""
+        norms = np.linalg.norm(self.values, axis=1)
+        norms.setflags(write=False)
+        return norms
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogitMatrix):
@@ -228,6 +236,8 @@ def _read_text(path: Path) -> str:
         return path.read_text()
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not text ({e.reason} at byte {e.start})") from None
 
 
 def _load_text(path: Path) -> LogitMatrix:

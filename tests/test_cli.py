@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logitlab
 from logitlab import cli, stats
 from logitlab.store import (
     LabelVector,
@@ -25,6 +30,10 @@ def dataset(tmp_path):
     store_matrix(LogitMatrix(vals), tmp_path / "m.lgt", "binary")
     store_labels(LabelVector(labels), tmp_path / "y.txt")
     store_flags(RobustFlags(flags), tmp_path / "f.txt")
+    for i in range(2):
+        store_matrix(LogitMatrix(rng.standard_normal((4, 6)) + 3 * i), tmp_path / f"c{i}.lgt",
+                     "binary")
+    (tmp_path / "manifolds.txt").write_text("c0.lgt\nc1.lgt\n")
     return tmp_path, vals, labels, flags
 
 
@@ -212,6 +221,14 @@ def test_cli_reproducible_responses(tmp_path):
      "finite sigma0 >= 0, c > 0, epsilon >= 0 required"),
     (["response", "--c", "inf", "--n-data", "20", "--n-feats", "10"], 4,
      "finite sigma0 >= 0, c > 0, epsilon >= 0 required"),
+    (["mftma", "--manifolds", "{d}/manifolds.txt", "--n-samples", "5", "--empirical",
+      "--n-dichotomies", "0"], 4, "n_dichotomies must be >= 1"),
+    (["manipulate", "--logits", "{d}/m.lgt", "--kind", "fix_k_permute", "--k", "2",
+      "--seed", "-1"], 2, "argument --seed: must be >= 0, got -1"),
+    (["stats", "--logits", "{d}/m.lgt", "--format", "text"], 3, "m.lgt: not text"),
+    (["stats", "--logits", "{d}/m.lgt", "--bin-width", "inf"], 4, "beyond float range"),
+    (["stats", "--logits", "{d}/m.lgt", "--flags", "{d}/f.txt", "--bin-width", "0.01",
+      "--min-count", "0"], 4, "min_count must be >= 1, got 0"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
@@ -221,7 +238,8 @@ def test_cli_reproducible_responses(tmp_path):
         "response_beta_correct_inadmissible", "response_beta_correct_at_pole",
         "response_beta_wrong_inadmissible_no_wrong_samples",
         "response_beta_correct_inadmissible_no_correct_samples",
-        "response_epsilon_nan", "response_c_inf"])
+        "response_epsilon_nan", "response_c_inf", "mftma_no_dichotomies", "negative_seed",
+        "binary_read_as_text", "bin_width_inf", "min_count_zero"])
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]
     argv = [a.format(d=d) for a in argv] + ["--out", str(d / "out")]
@@ -231,6 +249,8 @@ def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     assert "Traceback" not in err
     if argv[0] == "analytic":  # refused before the output directory is made
         assert not (d / "out").exists()
+    # a failed run writes no artifact and no manifest
+    assert not (d / "out").exists() or not any((d / "out").iterdir())
 
 
 def test_bin_cap_refuses_before_allocating(dataset):
@@ -258,3 +278,45 @@ def test_beta_grid_cap_refuses_before_allocating(dataset):
     assert code == 2
     assert peak < 16 * 2**20  # the 5e8-value grid alone would take 4 GB
     assert not (d / "out").exists()
+
+
+SRC = Path(logitlab.__file__).resolve().parents[1]
+# Runs cli.main on its arguments (none: import only), then prints the
+# scipy modules the process loaded.
+SCIPY_PROBE = """import json, sys
+import logitlab.cli
+code = logitlab.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+sys.exit(code)"""
+
+
+def _python(*args):
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/y.txt", "--flags", "{d}/f.txt",
+     "--min-count", "5"],
+    ["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels", "{d}/y.txt"],
+    ["manipulate", "--logits", "{d}/m.lgt", "--kind", "fix_k_permute", "--k", "2"],
+], ids=["import", "stats", "overlap", "manipulate"])
+def test_cold_start_loads_no_scipy(dataset, argv):
+    d = dataset[0]
+    if argv:
+        argv = [a.format(d=d) for a in argv] + ["--out", str(d / "out")]
+    proc = _python("-c", SCIPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    if argv:
+        assert (d / "out" / "manifest.json").exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python("-m", "logitlab", "stats", "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: logitlab stats")
+    proc = _python("-m", "logitlab", "stats", "--nonsense")
+    assert proc.returncode == 2 and proc.stderr.count("\n") == 1

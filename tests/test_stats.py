@@ -146,6 +146,23 @@ def test_bin_count_is_capped(bin_width):
         stats.max_logit_distribution(b.logits, bin_width)
 
 
+@pytest.mark.parametrize("values,bin_width", [
+    ([[-3.0, -5.0], [4.0, 1.0], [2.0, 2.5]], float("inf")),
+    ([[-3.0, -5.0], [4.0, 1.0], [2.0, 2.5]], 1e308),  # edges -1e308 and 1e308
+    ([[1e300, 0.0], [1e300, 1.0], [1e300, 2.0]], 1e-10),
+])
+def test_bin_edges_beyond_float_range_are_refused(values, bin_width):
+    with pytest.raises(stats.StatsError, match="beyond float range"):
+        stats.max_logit_distribution(LogitMatrix(values), bin_width)
+
+
+@pytest.mark.parametrize("min_count", [0, -1])
+def test_gap_accuracy_needs_a_positive_min_count(min_count):
+    b = _bundle([[0.0, 2.0], [3.0, 0.5], [1.0, 1.0]], [1, 0, 0], [True, False, True])
+    with pytest.raises(stats.StatsError, match="min_count must be >= 1"):
+        stats.gap_accuracy_curve(b, 0.25, min_count)
+
+
 def test_missing_flags_error():
     b = _bundle(np.zeros((3, 2)), [0, 0, 0])
     with pytest.raises(stats.StatsError):
@@ -408,3 +425,19 @@ def test_cosine_zero_norm_error():
     m = LogitMatrix([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(stats.StatsError):
         stats.cosine_neighbors(m, 0, 1)
+
+
+def test_cosine_repeated_calls_reuse_row_norms():
+    rng = np.random.default_rng(9)
+    vals = rng.standard_normal((50, 7))
+    m = LogitMatrix(vals)
+    first = [stats.cosine_neighbors(m, r, 10) for r in range(5)]
+    again = [stats.cosine_neighbors(m, r, 10) for r in range(5)]
+    fresh = [stats.cosine_neighbors(LogitMatrix(vals), r, 10) for r in range(5)]
+    assert first == again == fresh
+    assert m.row_norms is m.row_norms and not m.row_norms.flags.writeable
+    np.testing.assert_array_equal(m.row_norms, np.linalg.norm(vals, axis=1))
+    zero_row = LogitMatrix(np.vstack([vals[:3], np.zeros(7)]))
+    for _ in range(2):  # the cached norms still name the zero row
+        with pytest.raises(stats.StatsError, match="row 3 has zero norm"):
+            stats.cosine_neighbors(zero_row, 0, 1)
