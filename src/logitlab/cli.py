@@ -1,17 +1,22 @@
 """Command-line entry point.
 
-Every analysis is a subcommand; every run writes its outputs plus a manifest
-recording the configuration, the seed, and SHA-256 hashes of all input and
-output files. Exit codes: 0 success, 2 usage error, 3 input error,
-4 numeric/domain error.
+Every analysis is a subcommand. A run that succeeds writes its outputs to
+--out plus a manifest recording the configuration, the seed, and SHA-256
+hashes of all input and output files; a run that fails leaves --out as it
+found it. Exit codes: 0 success, 2 usage error, 3 input error (an --out that
+cannot be written included), 4 numeric/domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +28,8 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 MAX_BETAS = 1000  # per analytic grid axis; the surface CSVs hold MAX_BETAS**2 rows
+# the parser options that name an input file; the manifest hashes each one given
+_INPUT_OPTIONS = ("logits", "logits2", "labels", "flags", "index_source", "manifolds")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +52,7 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 16), b""):
@@ -53,14 +60,67 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, config: dict, inputs: list, outputs: list) -> None:
-    config = {k: v for k, v in config.items() if k != "func"}
-    manifest = {
-        "config": config,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
-        "outputs": {str(p): _sha256(Path(p)) for p in outputs},
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+class _Outputs:
+    """The artifacts of one run, staged in a hidden directory inside --out. On
+    success each moves into --out, then manifest.json; on failure the staging
+    directory is deleted, and so is every directory the run made for --out."""
+
+    def __init__(self, args) -> None:
+        self.args = args
+        self.out = Path(args.out)
+        self.inputs = [v for v in (getattr(args, k, None) for k in _INPUT_OPTIONS) if v]
+        self.names: list[str] = []
+        self.made = [p for p in (self.out, *self.out.parents) if not p.exists()]
+        self.stage = None
+
+    def path(self, name: str) -> Path:
+        self.names.append(name)
+        return self.stage / name
+
+    def csv(self, name: str, header: str, rows) -> None:
+        lines = [header]
+        for row in rows:
+            lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+        self.path(name).write_text("\n".join(lines) + "\n")
+
+    def _open(self) -> None:
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.out))
+
+    def _commit(self) -> None:
+        manifest = {
+            "config": {k: v for k, v in vars(self.args).items() if k != "func"},
+            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "outputs": {str(self.out / n): _sha256(self.stage / n) for n in self.names},
+        }
+        (self.stage / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        for name in self.names + ["manifest.json"]:
+            os.replace(self.stage / name, self.out / name)
+        self.stage.rmdir()
+
+    def _discard(self) -> None:
+        if self.stage is not None:
+            shutil.rmtree(self.stage, ignore_errors=True)
+        with contextlib.suppress(OSError):  # innermost first; stops at one not empty
+            for made in self.made:
+                made.rmdir()
+
+    def _guard(self, step) -> None:
+        try:
+            step()
+        except OSError as e:
+            self._discard()
+            raise store.StoreError(f"cannot write {self.out}: {e}") from e
+
+    def __enter__(self) -> _Outputs:
+        self._guard(self._open)
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        if kind is None:
+            self._guard(self._commit)
+        else:
+            self._discard()
 
 
 def _load_bundle(args) -> store.DatasetBundle:
@@ -73,90 +133,55 @@ def _load_bundle(args) -> store.DatasetBundle:
     return store.validate_bundle(logits, labels, flags)
 
 
-def _csv(path: Path, header: str, rows) -> Path:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def _cmd_stats(args) -> int:
+def _cmd_stats(args, outputs: _Outputs) -> None:
     bundle = _load_bundle(args)
-    # every result exists before the first CSV is written, so a failing
-    # statistic leaves no partial output
     ml = stats.max_logit_distribution(bundle.logits, args.bin_width)
-    gaps = stats.logit_gaps(bundle.logits)
+    outputs.csv("max_logit.csv", "bin_left,bin_right,count", ml.histogram)
+    outputs.csv("max_logit_summary.csv", "mean,std,skewness", [(ml.mean, ml.std, ml.skewness)])
+    outputs.csv("gaps.csv", "gap", [(float(g),) for g in stats.logit_gaps(bundle.logits)])
     gd = stats.gap_distribution(bundle.logits, args.bin_width)
-    curve = (None if bundle.flags is None
-             else stats.gap_accuracy_curve(bundle, args.bin_width, args.min_count))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    outputs.append(_csv(out / "max_logit.csv", "bin_left,bin_right,count", ml.histogram))
-    outputs.append(
-        _csv(out / "max_logit_summary.csv", "mean,std,skewness",
-             [(ml.mean, ml.std, ml.skewness)])
-    )
-    outputs.append(_csv(out / "gaps.csv", "gap", [(float(g),) for g in gaps]))
-    outputs.append(_csv(out / "gap_hist.csv", "bin_left,bin_right,count", gd.histogram))
-    if curve is not None:
-        outputs.append(
-            _csv(out / "gap_accuracy.csv",
-                 "gap_low,gap_high,n_samples,adversarial_accuracy", curve.bins)
-        )
-    inputs = [args.logits] + [p for p in (args.labels, args.flags) if p]
-    _write_manifest(out, vars(args), inputs, outputs)
-    return EXIT_OK
+    outputs.csv("gap_hist.csv", "bin_left,bin_right,count", gd.histogram)
+    if bundle.flags is not None:
+        curve = stats.gap_accuracy_curve(bundle, args.bin_width, args.min_count)
+        outputs.csv("gap_accuracy.csv", "gap_low,gap_high,n_samples,adversarial_accuracy",
+                    curve.bins)
 
 
-def _cmd_overlap(args) -> int:
+def _cmd_overlap(args, outputs: _Outputs) -> None:
     m1 = store.load_matrix(args.logits, args.format)
     m2 = store.load_matrix(args.logits2, args.format)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     k_max = args.k if args.k else m1.cols
     curve = stats.average_overlap(m1, m2, k_max)
     rows = [(int(k), float(v)) for k, v in zip(curve.k_values, curve.ao_at_k)]
-    outputs = [_csv(out / "overlap.csv", "k,ao_at_k", rows)]
+    outputs.csv("overlap.csv", "k,ao_at_k", rows)
     if args.labels:
         labels = store.load_labels(args.labels)
         b1 = store.validate_bundle(m1, labels)
         b2 = store.validate_bundle(m2, labels)
         perm = stats.within_class_permuted_overlap(b1, b2, k_max, args.seed)
         rows = [(int(k), float(v)) for k, v in zip(perm.k_values, perm.ao_at_k)]
-        outputs.append(_csv(out / "overlap_permuted.csv", "k,ao_at_k", rows))
-    inputs = [args.logits, args.logits2] + ([args.labels] if args.labels else [])
-    _write_manifest(out, vars(args), inputs, outputs)
-    return EXIT_OK
+        outputs.csv("overlap_permuted.csv", "k,ao_at_k", rows)
 
 
-def _cmd_manipulate(args) -> int:
+def _cmd_manipulate(args, outputs: _Outputs) -> None:
     m = store.load_matrix(args.logits, args.format)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = forge.ManipulationSpec(kind=args.kind, k=args.k, seed=args.seed)
     labels = store.load_labels(args.labels) if args.labels else None
     index_source = (
         store.load_matrix(args.index_source, args.format) if args.index_source else None
     )
     result = forge.apply_manipulation(spec, m, labels=labels, index_source=index_source)
-    target = out / f"{args.kind}.lgt"
-    store.store_matrix(result, target, args.format)
-    inputs = [args.logits] + [p for p in (args.labels, args.index_source) if p]
-    _write_manifest(out, vars(args), inputs, [target])
-    return EXIT_OK
+    store.store_matrix(result, outputs.path(f"{args.kind}.lgt"), args.format)
 
 
-def _cmd_analytic(args) -> int:
+def _cmd_analytic(args, outputs: _Outputs) -> None:
     if not args.beta_step > 0:
         raise UsageError(f"--beta-step must be > 0, got {args.beta_step}")
     if not 0 < (args.beta_max + 1e-12 - args.beta_min) / args.beta_step <= MAX_BETAS:
         raise UsageError(f"--beta-min/--beta-max/--beta-step must give 1 to {MAX_BETAS} betas")
     surrogate._check_error_rate(args.error_rate)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    if not (args.surface or args.shrinkage or args.threshold):
+        raise UsageError("analytic requires at least one of --surface/--shrinkage/--threshold")
     grid = np.arange(args.beta_min, args.beta_max + 1e-12, args.beta_step)
     pairs = [np.repeat(grid, grid.size), np.tile(grid, grid.size)]
     for wanted, surface, name, column in (
@@ -166,7 +191,7 @@ def _cmd_analytic(args) -> int:
         if wanted:
             values = surface(grid, grid, args.n_classes, args.error_rate, args.branch).ravel()
             rows = np.column_stack(pairs + [values]).tolist()
-            outputs.append(_csv(out / f"{name}.csv", f"beta_correct,beta_wrong,{column}", rows))
+            outputs.csv(f"{name}.csv", f"beta_correct,beta_wrong,{column}", rows)
     if args.threshold:
         rows = []
         for nn in range(4, args.n_classes + 1):
@@ -175,16 +200,10 @@ def _cmd_analytic(args) -> int:
             except surrogate.SearchError:
                 th = float("nan")
             rows.append((nn, th))
-        outputs.append(_csv(out / "threshold.csv", "n_classes,threshold", rows))
-    if not outputs:
-        raise UsageError("analytic requires at least one of --surface/--shrinkage/--threshold")
-    _write_manifest(out, vars(args), [], outputs)
-    return EXIT_OK
+        outputs.csv("threshold.csv", "n_classes,threshold", rows)
 
 
-def _cmd_response(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_response(args, outputs: _Outputs) -> None:
     params = surrogate.MeanFieldParams(
         args.beta_correct, args.beta_wrong, args.n_classes, args.error_rate
     )
@@ -192,18 +211,11 @@ def _cmd_response(args) -> int:
         params, args.n_data, args.n_feats, args.epsilon,
         sigma0=args.sigma0, c=args.c, seed=args.seed,
     )
-    rows = [(args.beta_correct, args.beta_wrong, predicted, mean, std)]
-    outputs = [
-        _csv(out / "gap_shift.csv",
-             "beta_correct,beta_wrong,predicted,measured_mean,measured_std", rows)
-    ]
-    _write_manifest(out, vars(args), [], outputs)
-    return EXIT_OK
+    outputs.csv("gap_shift.csv", "beta_correct,beta_wrong,predicted,measured_mean,measured_std",
+                [(args.beta_correct, args.beta_wrong, predicted, mean, std)])
 
 
-def _cmd_mftma(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_mftma(args, outputs: _Outputs) -> None:
     listing = store._read_text(Path(args.manifolds))
     files = [ln.strip() for ln in listing.splitlines() if ln.strip()]
     if not files:
@@ -215,35 +227,17 @@ def _cmd_mftma(args) -> int:
         if not p.is_absolute():
             p = base / p
         clouds.append(store.load_matrix(p, args.format).values)
+        outputs.inputs.append(p)
     mset = mftma.ManifoldSet(tuple(clouds))
     if args.project_centers:
         mset = mftma.project_null_centers(mset)
     result = mftma.mftma_capacity(mset, args.n_samples, args.kappa, args.seed)
-    # both results exist before either CSV is written, so a failing
-    # empirical run leaves no mftma.csv behind
-    cap = (mftma.empirical_capacity(mset, args.n_dichotomies, args.seed)
-           if args.empirical else None)
-    rows = [(
-        result.alpha_mftma, result.radius, result.dimension,
-        result.center_correlation, result.n_gaussian_samples, result.seed,
-    )]
-    outputs = [
-        _csv(out / "mftma.csv",
-             "alpha_mftma,radius,dimension,center_correlation,n_samples,seed", rows)
-    ]
-    if cap is not None:
-        outputs.append(
-            _csv(out / "empirical_capacity.csv", "alpha_empirical", [(cap,)])
-        )
-    _write_manifest(out, vars(args), [args.manifolds], outputs)
-    return EXIT_OK
-
-
-def _cmd_report(args) -> int:
-    produced = report.emit_report(args.out)
-    for p in produced:
-        print(p)
-    return EXIT_OK
+    outputs.csv("mftma.csv", "alpha_mftma,radius,dimension,center_correlation,n_samples,seed",
+                [(result.alpha_mftma, result.radius, result.dimension,
+                  result.center_correlation, result.n_gaussian_samples, result.seed)])
+    if args.empirical:
+        cap = mftma.empirical_capacity(mset, args.n_dichotomies, args.seed)
+        outputs.csv("empirical_capacity.csv", "alpha_empirical", [(cap,)])
 
 
 def build_parser() -> _Parser:
@@ -321,7 +315,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("report", help="render SVGs from emitted CSV")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
@@ -330,7 +323,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.subcommand == "report":
+            for p in report.emit_report(args.out):
+                print(p)
+        else:
+            with _Outputs(args) as outputs:
+                args.func(args, outputs)
+        return EXIT_OK
     except UsageError as e:
         print(f"error: usage: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -44,10 +44,10 @@ def _svg(body: list[str]) -> str:
 
 def render_histogram(csv_path: str | Path, svg_path: str | Path) -> None:
     """Bar chart from a (bin_left, bin_right, count) CSV."""
-    _histogram(csv_path, *_read_rows(Path(csv_path)), svg_path)
+    Path(svg_path).write_text(_histogram(csv_path, *_read_rows(Path(csv_path))))
 
 
-def _histogram(csv_path, header: list[str], rows: list[list[float]], svg_path) -> None:
+def _histogram(csv_path, header: list[str], rows: list[list[float]]) -> str:
     if len(header) < 3 or not rows:
         raise ReportError(f"{csv_path}: expected bin_left,bin_right,count rows")
     lo = rows[0][0]
@@ -73,15 +73,15 @@ def _histogram(csv_path, header: list[str], rows: list[list[float]], svg_path) -
         f'<text x="{_W - _PAD}" y="{_H - 10}" font-size="12" '
         f'text-anchor="end">{hi:.6g}</text>'
     )
-    Path(svg_path).write_text(_svg(body))
+    return _svg(body)
 
 
 def render_heatmap(csv_path: str | Path, svg_path: str | Path) -> None:
     """Grid heatmap from an (x, y, value) CSV; NaN cells are left blank."""
-    _heatmap(csv_path, *_read_rows(Path(csv_path)), svg_path)
+    Path(svg_path).write_text(_heatmap(csv_path, *_read_rows(Path(csv_path))))
 
 
-def _heatmap(csv_path, header: list[str], rows: list[list[float]], svg_path) -> None:
+def _heatmap(csv_path, header: list[str], rows: list[list[float]]) -> str:
     if len(header) < 3 or not rows:
         raise ReportError(f"{csv_path}: expected x,y,value rows")
     xs = sorted({r[0] for r in rows})
@@ -113,7 +113,7 @@ def _heatmap(csv_path, header: list[str], rows: list[list[float]], svg_path) -> 
         f'<text x="{_PAD}" y="{_H - 10}" font-size="12">x: {xs[0]:.6g}..{xs[-1]:.6g} '
         f'y: {ys[0]:.6g}..{ys[-1]:.6g} v: {vmin:.6g}..{vmax:.6g}</text>'
     )
-    Path(svg_path).write_text(_svg(body))
+    return _svg(body)
 
 
 _HIST_HEADERS = ("bin_left", "gap_low", "k")
@@ -122,9 +122,10 @@ _HEAT_HEADERS = ("beta_correct", "x")
 
 def emit_report(directory: str | Path) -> list[Path]:
     """Render an SVG next to every recognized CSV in the directory; each CSV
-    is parsed once, for its kind and its drawing."""
+    is parsed once, for its kind and its drawing. Every SVG is drawn before
+    the first is written, so a CSV that cannot be drawn leaves none behind."""
     directory = Path(directory)
-    produced = []
+    svgs = {}
     csvs = sorted(directory.glob("*.csv"))
     if not csvs:
         raise ReportError(f"{directory}: no CSV artifacts to render")
@@ -132,14 +133,12 @@ def emit_report(directory: str | Path) -> list[Path]:
         header, rows = _read_rows(path)
         if not rows or len(header) < 3:
             continue
-        out = path.with_suffix(".svg")
         if header[0] in _HEAT_HEADERS:
-            _heatmap(path, header, rows, out)
+            svgs[path.with_suffix(".svg")] = _heatmap(path, header, rows)
         elif header[0] in _HIST_HEADERS or len(header) == 3:
-            _histogram(path, header, rows, out)
-        else:
-            continue
-        produced.append(out)
-    if not produced:
+            svgs[path.with_suffix(".svg")] = _histogram(path, header, rows)
+    if not svgs:
         raise ReportError(f"{directory}: no renderable CSV found")
-    return produced
+    for out, text in svgs.items():
+        out.write_text(text)
+    return list(svgs)

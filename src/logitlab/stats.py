@@ -108,6 +108,11 @@ def _summarize(x: np.ndarray, bin_width: float) -> DistributionSummary:
         hi = lo + bin_width
     n_bins = int(round((hi - lo) / bin_width))
     edges = lo + bin_width * np.arange(n_bins + 1)
+    if n_bins < 1 or not (edges[1:] > edges[:-1]).all():
+        raise StatsError(
+            f"bin_width {bin_width:g} is below the float spacing of values near {lo:g}: "
+            f"the histogram bin edges do not increase"
+        )
     counts, _ = np.histogram(x, bins=edges)
     hist = tuple(
         (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(n_bins)
@@ -172,7 +177,7 @@ def gap_accuracy_curve(
             plo, _, pn, pa = merged.pop()
             tot = pn + acc_n
             merged.append((plo, float(edges[-1]), tot, (pa * pn + acc_h) / tot))
-        elif acc_n > 0:
+        else:
             merged.append((float(lo), float(edges[-1]), acc_n, acc_h / acc_n))
     return GapAccuracyCurve(bins=tuple(merged))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -29,6 +30,9 @@ def dataset(tmp_path):
     flags = rng.random(120) > 0.4
     store_matrix(LogitMatrix(vals), tmp_path / "m.lgt", "binary")
     store_labels(LabelVector(labels), tmp_path / "y.txt")
+    store_labels(LabelVector(labels[:40]), tmp_path / "y40.txt")
+    # max logits all 1e17 + 2, where the float spacing is 16
+    store_matrix(LogitMatrix(np.full((4, 3), 1e17 + 2)), tmp_path / "big.lgt", "binary")
     store_flags(RobustFlags(flags), tmp_path / "f.txt")
     for i in range(2):
         store_matrix(LogitMatrix(rng.standard_normal((4, 6)) + 3 * i), tmp_path / f"c{i}.lgt",
@@ -39,6 +43,11 @@ def dataset(tmp_path):
 
 def _run(*argv):
     return cli.main(list(argv))
+
+
+def _tree(d):
+    """Every path under d: a file's bytes, False for a directory."""
+    return {p: p.is_file() and p.read_bytes() for p in d.rglob("*")}
 
 
 def test_stats_outputs(dataset):
@@ -162,6 +171,38 @@ def test_report_heights_match_counts(dataset):
     assert titles == counts
 
 
+def test_report_writes_no_svg_when_a_csv_cannot_be_drawn(tmp_path, capsys):
+    (tmp_path / "a.csv").write_text("bin_left,bin_right,count\n0,1,3\n1,2,5\n")
+    (tmp_path / "b.csv").write_text("bin_left,bin_right,count\n0,1,x\n")
+    assert _run("report", "--out", str(tmp_path)) == 3
+    assert "b.csv: non-numeric CSV cell" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/y.txt", "--flags", "{d}/f.txt",
+     "--min-count", "5"],
+    ["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels", "{d}/y.txt"],
+    ["manipulate", "--logits", "{d}/m.lgt", "--kind", "fix_k_permute", "--k", "2"],
+    ["analytic", "--surface", "--threshold", "--n-classes", "5", "--beta-max", "4"],
+    ["response", "--n-data", "20", "--n-feats", "10"],
+    ["mftma", "--manifolds", "{d}/manifolds.txt", "--n-samples", "5"],
+], ids=["stats", "overlap", "manipulate", "analytic", "response", "mftma"])
+def test_manifest_hashes_the_final_files(dataset, argv):
+    d = dataset[0]
+    out = d / "out"
+    assert _run(*[a.format(d=d) for a in argv], "--out", str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    sha = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+           for p in (*manifest["inputs"], *manifest["outputs"])}
+    assert {**manifest["inputs"], **manifest["outputs"]} == sha
+    # the outputs and the manifest are all that is left in --out: no staging directory
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [Path(p).name for p in manifest["outputs"]] + ["manifest.json"])
+    if argv[0] == "mftma":  # the listing and each cloud file it names
+        assert sorted(manifest["inputs"]) == [f"{d}/c0.lgt", f"{d}/c1.lgt", f"{d}/manifolds.txt"]
+
+
 def test_exit_codes(tmp_path, dataset):
     d, _, _, _ = dataset
     # usage: unknown flag
@@ -229,6 +270,18 @@ def test_cli_reproducible_responses(tmp_path):
     (["stats", "--logits", "{d}/m.lgt", "--bin-width", "inf"], 4, "beyond float range"),
     (["stats", "--logits", "{d}/m.lgt", "--flags", "{d}/f.txt", "--bin-width", "0.01",
       "--min-count", "0"], 4, "min_count must be >= 1, got 0"),
+    (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels", "{d}"], 3,
+     "cannot read"),
+    (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels", "{d}/y40.txt"],
+     3, "labels length mismatch: 40 labels for 120 rows"),
+    (["stats", "--logits", "{d}/m.lgt", "--out", "{d}/m.lgt"], 3,
+     "error: input: cannot write {d}/m.lgt: "),
+    (["response", "--n-data", "20", "--n-feats", "10", "--out", "{d}/m.lgt/sub"], 3,
+     "error: input: cannot write {d}/m.lgt/sub: "),
+    (["stats", "--logits", "{d}/big.lgt", "--bin-width", "1"], 4,
+     "bin_width 1 is below the float spacing of values near 1e+17"),
+    (["response", "--n-data", "0", "--out", "{d}/new/out"], 4,
+     "n_data and n_feats must be >= 1"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
@@ -239,18 +292,22 @@ def test_cli_reproducible_responses(tmp_path):
         "response_beta_wrong_inadmissible_no_wrong_samples",
         "response_beta_correct_inadmissible_no_correct_samples",
         "response_epsilon_nan", "response_c_inf", "mftma_no_dichotomies", "negative_seed",
-        "binary_read_as_text", "bin_width_inf", "min_count_zero"])
+        "binary_read_as_text", "bin_width_inf", "min_count_zero", "overlap_labels_directory",
+        "overlap_labels_length", "out_is_a_file", "out_under_a_file",
+        "bin_width_below_float_spacing", "out_with_new_parent"])
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]
-    argv = [a.format(d=d) for a in argv] + ["--out", str(d / "out")]
+    argv = [a.format(d=d) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(d / "out")]
+    before = _tree(d)
     assert _run(*argv) == code
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err
+    assert err.count("\n") == 1 and message.format(d=d) in err
     assert "Traceback" not in err
-    if argv[0] == "analytic":  # refused before the output directory is made
-        assert not (d / "out").exists()
-    # a failed run writes no artifact and no manifest
-    assert not (d / "out").exists() or not any((d / "out").iterdir())
+    # a failed run writes no artifact and no manifest, and removes every directory it made
+    assert not (d / "out").exists()
+    assert _tree(d) == before
 
 
 def test_bin_cap_refuses_before_allocating(dataset):

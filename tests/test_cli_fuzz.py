@@ -1,8 +1,8 @@
 """Exit-code fuzz: whatever the options of `stats`, `overlap`, `manipulate`,
 `analytic`, `response` and `mftma`, the CLI ends with a documented exit code
 (0, 2, 3 or 4; never 3, an input error, for `analytic` and `response`, which
-read no file), a failure prints one stderr line, and no exception escapes
-`cli.main`."""
+read no file), a failure prints one stderr line and leaves --out as it was,
+and no exception escapes `cli.main`."""
 
 import math
 
@@ -75,13 +75,24 @@ def _matrix(d, name: str, fmt: str, matching: bool):
     return d / f"{name}.{'lgt' if (fmt == 'binary') == matching else 'txt'}"
 
 
+def _snapshot(out):
+    """Every file under out, name -> bytes; None when out does not exist."""
+    if not out.exists():
+        return None
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
 def _check_exit(argv, capsys, codes=EXIT_CODES):
+    out = argv[argv.index("--out") + 1]
+    before = _snapshot(out)
     code = cli.main([_text(a) for a in argv])
     err = capsys.readouterr().err
     assert code in codes, (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code:
         assert err.count("\n") == 1, (argv, err)
+        # examples share --out, so this also covers a failure after a success
+        assert _snapshot(out) == before, (argv, err)
 
 
 @FUZZ

@@ -156,6 +156,17 @@ def test_bin_edges_beyond_float_range_are_refused(values, bin_width):
         stats.max_logit_distribution(LogitMatrix(values), bin_width)
 
 
+@pytest.mark.parametrize("max_logits", [
+    [1e17 + 2] * 4,  # one value: lo + 1 rounds back to lo, so no bin at all
+    np.linspace(1e17, 1e17 + 64, 4),  # 64 bins of width 1, most of them zero-width
+])
+def test_bin_width_below_float_spacing_is_refused(max_logits):
+    values = np.column_stack([max_logits, np.zeros(4)])
+    with pytest.raises(stats.StatsError, match="below the float spacing"):
+        stats.max_logit_distribution(LogitMatrix(values), 1.0)
+    assert len(stats.max_logit_distribution(LogitMatrix(values), 64.0).histogram) >= 1
+
+
 @pytest.mark.parametrize("min_count", [0, -1])
 def test_gap_accuracy_needs_a_positive_min_count(min_count):
     b = _bundle([[0.0, 2.0], [3.0, 0.5], [1.0, 1.0]], [1, 0, 0], [True, False, True])
