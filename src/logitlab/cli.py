@@ -88,6 +88,8 @@ class _Outputs:
         self.stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.out))
 
     def _commit(self) -> None:
+        # refuse before the first move, so a refused run leaves --out as found
+        store.refuse_directories(self.out / n for n in self.names + ["manifest.json"])
         manifest = {
             "config": {k: v for k, v in vars(self.args).items() if k != "func"},
             "inputs": {str(p): _sha256(p) for p in self.inputs},

@@ -14,8 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .rng import substream
-from .stats import descending_order
-from .store import LabelVector, LogitMatrix, ValidationError
+from .store import LabelVector, LogitMatrix, ValidationError, _adopt, row_blocks
 
 
 @dataclass(frozen=True)
@@ -34,36 +33,42 @@ class ManipulationSpec:
             raise ValidationError("fix_k_permute requires a seed")
 
 
-def _bottom(m: LogitMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of each row's entries outside its top k (ties keep the lower class
-    index in the top k), and those entries as an (n, c-k) table in column order."""
+def _check_k(m: LogitMatrix, k: int) -> None:
     if not (1 <= k <= m.cols):
         raise ValidationError(f"k must be in [1, {m.cols}], got {k}")
-    bottom = np.ones(m.values.shape, dtype=bool)
-    np.put_along_axis(bottom, descending_order(m.values)[:, :k], False, axis=1)
-    return bottom, m.values[bottom].reshape(m.rows, m.cols - k)
 
 
 def fix_k_permute(m: LogitMatrix, k: int, seed: int) -> LogitMatrix:
-    """Keep each row's top-k values in place; permute the rest uniformly."""
+    """Keep each row's top-k values in place; permute the rest uniformly.
+    Ties keep the lower class index in the top k."""
     if k == m.cols:
         return m
-    bottom, rest = _bottom(m, k)
-    perms = np.empty(rest.shape, dtype=np.intp)
-    # row r's permutation depends only on (seed, r), as the rng contract fixes
-    for r in range(m.rows):
-        perms[r] = substream(seed, r).permutation(rest.shape[1])
+    _check_k(m, k)
     out = m.values.copy()
-    out[bottom] = np.take_along_axis(rest, perms, axis=1).ravel()
-    return LogitMatrix(out)
+    width = m.cols - k
+    for b in row_blocks(m.rows, m.cols):
+        block, bottom = out[b], m.positions[b] >= k
+        # row r's permutation depends only on (seed, r), as the rng contract fixes
+        perms = np.empty((b.stop - b.start, width), dtype=np.intp)
+        for i, r in enumerate(range(b.start, b.stop)):
+            perms[i] = substream(seed, r).permutation(width)
+        rest = block[bottom].reshape(-1, width)  # in column order
+        block[bottom] = np.take_along_axis(rest, perms, axis=1).ravel()
+    return _adopt(out)
 
 
 def fix_k_average(m: LogitMatrix, k: int) -> LogitMatrix:
-    """Keep each row's top-k values; set the rest to their arithmetic mean."""
+    """Keep each row's top-k values; set the rest to their arithmetic mean.
+    Ties keep the lower class index in the top k."""
     if k == m.cols:
         return m
-    bottom, rest = _bottom(m, k)
-    return LogitMatrix(np.where(bottom, rest.mean(axis=1)[:, None], m.values))
+    _check_k(m, k)
+    out = m.values.copy()
+    for b in row_blocks(m.rows, m.cols):
+        block, bottom = out[b], m.positions[b] >= k
+        rest = block[bottom].reshape(-1, m.cols - k)
+        np.copyto(block, rest.mean(axis=1)[:, None], where=bottom)
+    return _adopt(out)
 
 
 def correct_fix_1(m: LogitMatrix, labels: LabelVector) -> LogitMatrix:
@@ -77,10 +82,10 @@ def correct_fix_1(m: LogitMatrix, labels: LabelVector) -> LogitMatrix:
         raise ValidationError(f"label out of range at index {i}")
     out = m.values.copy()
     preds = np.argmax(out, axis=1)
-    for r in np.flatnonzero(preds != labels.labels):
-        p, t = preds[r], labels.labels[r]
-        out[r, p], out[r, t] = out[r, t], out[r, p]
-    return LogitMatrix(out)
+    rows = np.flatnonzero(preds != labels.labels)
+    p, t = preds[rows], labels.labels[rows]
+    out[rows, p], out[rows, t] = out[rows, t], out[rows, p]
+    return _adopt(out)
 
 
 def hybrid_merge(value_source: LogitMatrix, index_source: LogitMatrix) -> LogitMatrix:
@@ -92,10 +97,11 @@ def hybrid_merge(value_source: LogitMatrix, index_source: LogitMatrix) -> LogitM
     """
     if value_source.values.shape != index_source.values.shape:
         raise ValidationError("hybrid_merge requires matrices of the same shape")
-    rank_order = descending_order(index_source.values)
-    out = np.empty(rank_order.shape, dtype=np.float64)
-    np.put_along_axis(out, rank_order, np.sort(value_source.values, axis=1)[:, ::-1], axis=1)
-    return LogitMatrix(out)
+    out = np.empty(value_source.values.shape, dtype=np.float64)
+    for b in row_blocks(*out.shape):
+        sorted_desc = np.sort(value_source.values[b], axis=1)[:, ::-1]
+        out[b] = np.take_along_axis(sorted_desc, index_source.positions[b], axis=1)
+    return _adopt(out)
 
 
 def apply_manipulation(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+from .store import refuse_directories
+
 
 class ReportError(Exception):
     pass
@@ -122,8 +124,9 @@ _HEAT_HEADERS = ("beta_correct", "x")
 
 def emit_report(directory: str | Path) -> list[Path]:
     """Render an SVG next to every recognized CSV in the directory; each CSV
-    is parsed once, for its kind and its drawing. Every SVG is drawn before
-    the first is written, so a CSV that cannot be drawn leaves none behind."""
+    is parsed once, for its kind and its drawing. Every SVG is drawn, and every
+    SVG path checked, before the first is written, so a CSV that cannot be
+    drawn, or a directory at an SVG's name, leaves none behind."""
     directory = Path(directory)
     svgs = {}
     csvs = sorted(directory.glob("*.csv"))
@@ -139,6 +142,10 @@ def emit_report(directory: str | Path) -> list[Path]:
             svgs[path.with_suffix(".svg")] = _histogram(path, header, rows)
     if not svgs:
         raise ReportError(f"{directory}: no renderable CSV found")
-    for out, text in svgs.items():
-        out.write_text(text)
+    try:
+        refuse_directories(svgs)
+        for out, text in svgs.items():
+            out.write_text(text)
+    except OSError as e:
+        raise ReportError(f"cannot write {e.filename}: {e.strerror}") from e
     return list(svgs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substream
-from .store import DatasetBundle, LogitMatrix
+from .store import DatasetBundle, LogitMatrix, class_positions, descending_order, row_blocks
 
 
 # Largest histogram a bin width may ask for; checked before anything is allocated.
@@ -50,11 +50,6 @@ class RankProfile:
 class OverlapCurve:
     k_values: np.ndarray
     ao_at_k: np.ndarray
-
-
-def descending_order(values: np.ndarray) -> np.ndarray:
-    """Indices that sort the last axis by descending value, ties by ascending index."""
-    return np.argsort(-values, axis=-1, kind="stable")
 
 
 def _check_bins(lo: float, hi: float, bin_width: float) -> None:
@@ -244,21 +239,18 @@ def error_prediction_profile(bundle: DatasetBundle) -> np.ndarray:
         warnings.warn("no incorrect predictions; error profile is all zeros")
         return np.zeros(n_classes)
     # position[c, j] = 0-based rank of class j in class c's mean vector
-    position = _positions(mean_vectors)
+    position = class_positions(mean_vectors)
     ranks = position[labels[wrong], preds[wrong]]
     return np.bincount(ranks, minlength=n_classes) / wrong.size
 
 
-def _positions(values: np.ndarray) -> np.ndarray:
-    """Per row, the 0-based descending rank of every column (inverse of descending_order)."""
-    n, c = values.shape
-    position = np.empty((n, c), dtype=np.intp)
-    np.put_along_axis(position, descending_order(values), np.arange(c)[None, :], axis=1)
-    return position
-
-
 def average_overlap(m1: LogitMatrix, m2: LogitMatrix, k_max: int) -> OverlapCurve:
     """AO@k between the two matrices' per-row class rankings, sample-averaged."""
+    return _overlap(m1, m2, k_max)
+
+
+def _overlap(m1: LogitMatrix, m2: LogitMatrix, k_max: int, rows2=None) -> OverlapCurve:
+    """AO@k between m1's rows and m2's rows rows2 (all rows, in order, if None)."""
     if m1.values.shape != m2.values.shape:
         raise StatsError("matrices must have the same shape")
     if not (1 <= k_max <= m1.cols):
@@ -266,9 +258,11 @@ def average_overlap(m1: LogitMatrix, m2: LogitMatrix, k_max: int) -> OverlapCurv
     n, c = m1.values.shape
     # a class is in both top-d lists iff max(pos1, pos2) < d, so the overlap
     # counts at every depth d are one cumulative histogram of those maxima
-    first_shared = _positions(m1.values)
-    np.maximum(first_shared, _positions(m2.values), out=first_shared)
-    shared = np.cumsum(np.bincount(first_shared.ravel(), minlength=c))[:k_max]
+    counts = np.zeros(c, dtype=np.int64)
+    for b in row_blocks(n, c):
+        other = m2.positions[b if rows2 is None else rows2[b]]
+        counts += np.bincount(np.maximum(m1.positions[b], other).ravel(), minlength=c)
+    shared = np.cumsum(counts)[:k_max]
     depth = np.arange(1, k_max + 1)
     overlap = shared / (n * depth)  # overlap at depth d, averaged over samples
     return OverlapCurve(k_values=depth, ao_at_k=np.cumsum(overlap) / depth)
@@ -287,8 +281,8 @@ def within_class_permuted_overlap(
         ids = np.flatnonzero(l1 == c)
         rng = substream(seed, int(c))
         perm[ids] = ids[rng.permutation(ids.size)]
-    permuted = LogitMatrix(bundle2.logits.values[perm])
-    return average_overlap(bundle1.logits, permuted, k_max)
+    # ranks are per row: the permuted matrix's row r ranks as bundle2's row perm[r]
+    return _overlap(bundle1.logits, bundle2.logits, k_max, rows2=perm)
 
 
 def cosine_neighbors(m: LogitMatrix, seed_row: int, n: int) -> list[tuple[int, float]]:

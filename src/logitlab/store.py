@@ -13,17 +13,20 @@ Labels and flags are one integer per line.
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 MAGIC = b"LGT1"
+# Values per block of a row-blocked whole-matrix kernel: 1 MiB of float64.
+BLOCK_VALUES = 1 << 17
 
 
 class StoreError(Exception):
@@ -38,6 +41,28 @@ class ValidationError(StoreError):
     """Component invariant violation; message names the offending index."""
 
 
+def row_blocks(rows: int, cols: int) -> Iterator[slice]:
+    """Slices of consecutive rows holding about BLOCK_VALUES values each."""
+    step = max(1, BLOCK_VALUES // cols)
+    return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
+
+
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Indices that sort the last axis by descending value, ties by ascending index."""
+    return np.argsort(-values, axis=-1, kind="stable")
+
+
+def class_positions(values: np.ndarray) -> np.ndarray:
+    """Per row, each column's 0-based place in descending_order (its inverse),
+    in the smallest unsigned dtype that holds cols - 1."""
+    rows, cols = values.shape
+    positions = np.empty((rows, cols), dtype=np.min_scalar_type(cols - 1))
+    places = np.arange(cols, dtype=positions.dtype)[None, :]
+    for b in row_blocks(rows, cols):
+        np.put_along_axis(positions[b], descending_order(values[b]), places, axis=1)
+    return positions
+
+
 def _checked(arr: np.ndarray) -> np.ndarray:
     """arr, if it is a valid logit matrix; else ValidationError naming why."""
     if arr.ndim != 2:
@@ -46,7 +71,7 @@ def _checked(arr: np.ndarray) -> np.ndarray:
         raise ValidationError("logit matrix needs at least one row")
     if arr.shape[1] < 2:
         raise ValidationError("logit matrix needs at least two columns")
-    if not np.isfinite(arr).all():
+    if not all(np.isfinite(arr[b]).all() for b in row_blocks(*arr.shape)):
         r, c = _first_non_finite(arr)
         raise ValidationError(f"non-finite logit at row {r}, column {c}")
     return arr
@@ -81,6 +106,15 @@ class LogitMatrix:
         norms = np.linalg.norm(self.values, axis=1)
         norms.setflags(write=False)
         return norms
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Each row's 0-based class positions under descending order, ties by
+        ascending class index (read-only, uint8 up to 256 classes), computed
+        on first use."""
+        positions = class_positions(self.values)
+        positions.setflags(write=False)
+        return positions
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogitMatrix):
@@ -165,6 +199,14 @@ def validate_bundle(
     return DatasetBundle(logits, labels, flags, class_names)
 
 
+def refuse_directories(paths: Iterable[Path]) -> None:
+    """IsADirectoryError for the first path that is an existing directory, so
+    a write of several files can refuse before it writes the first."""
+    for p in paths:
+        if p.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(p))
+
+
 def store_matrix(m: LogitMatrix, path: str | Path, format: str = "binary") -> None:
     """Write a matrix to disk. Binary is bit-exact; text is value-exact."""
     path = Path(path)
@@ -173,12 +215,13 @@ def store_matrix(m: LogitMatrix, path: str | Path, format: str = "binary") -> No
             with open(path, "wb") as f:
                 f.write(MAGIC)
                 f.write(struct.pack("<II", m.rows, m.cols))
-                f.write(np.ascontiguousarray(m.values, dtype="<f8").tobytes())
+                f.write(np.ascontiguousarray(m.values, dtype="<f8").data)
         elif format == "text":
             line = ",".join(["%.17g"] * m.cols) + "\n"
             with open(path, "w") as f:
                 f.write(f"{m.rows},{m.cols}\n")
-                f.writelines(line % tuple(row) for row in m.values.tolist())
+                for b in row_blocks(m.rows, m.cols):
+                    f.writelines(line % tuple(row) for row in m.values[b].tolist())
         else:
             raise ValueError(f"unknown format {format!r}")
     except OSError as e:
@@ -224,7 +267,7 @@ def _load_binary(path: Path) -> LogitMatrix:
 
 def _adopt(arr: np.ndarray) -> LogitMatrix:
     """A LogitMatrix over arr itself: the constructor's checks without its
-    copy, for an array just read that nothing else references."""
+    copy, for an array just read or built that nothing else references."""
     m = object.__new__(LogitMatrix)
     _checked(arr).setflags(write=False)
     object.__setattr__(m, "values", arr)
@@ -256,22 +299,24 @@ def _load_text(path: Path) -> LogitMatrix:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != rows:
         raise ParseError(f"{path}: header promises {rows} rows, found {len(body)}")
-    cells = [ln.split(",") for ln in body]
-    if all(len(parts) == cols for parts in cells):
+    if all(ln.count(",") == cols - 1 for ln in body):
+        cells = chain.from_iterable(ln.split(",") for ln in body)
         try:
-            vals = np.fromiter(map(float, chain.from_iterable(cells)), np.float64, rows * cols)
+            vals = np.fromiter(map(float, cells), np.float64, rows * cols)
+            return _adopt(vals.reshape(rows, cols))
         except ValueError:
             pass
-        else:
+        except ValidationError:
             if np.isfinite(vals).all():
-                return LogitMatrix(vals.reshape(rows, cols))
-    return _load_cells(path, cells, rows, cols)
+                raise
+    return _load_cells(path, body, rows, cols)
 
 
-def _load_cells(path: Path, cells: list, rows: int, cols: int) -> LogitMatrix:
+def _load_cells(path: Path, body: list, rows: int, cols: int) -> LogitMatrix:
     """Cell-by-cell parse; its ParseError names the first bad row or cell."""
     vals = np.empty((rows, cols), dtype=np.float64)
-    for r, parts in enumerate(cells):
+    for r, line in enumerate(body):
+        parts = line.split(",")
         if len(parts) != cols:
             raise ParseError(f"{path}: row {r} has {len(parts)} values, expected {cols}")
         for c, tok in enumerate(parts):
@@ -282,7 +327,7 @@ def _load_cells(path: Path, cells: list, rows: int, cols: int) -> LogitMatrix:
             if not np.isfinite(v):
                 raise ParseError(f"{path}: non-finite value at row {r}, column {c}")
             vals[r, c] = v
-    return LogitMatrix(vals)
+    return _adopt(vals)
 
 
 def store_labels(labels: LabelVector, path: str | Path) -> None:

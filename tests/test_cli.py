@@ -38,6 +38,8 @@ def dataset(tmp_path):
         store_matrix(LogitMatrix(rng.standard_normal((4, 6)) + 3 * i), tmp_path / f"c{i}.lgt",
                      "binary")
     (tmp_path / "manifolds.txt").write_text("c0.lgt\nc1.lgt\n")
+    # an --out with a directory where overlap's second artifact would go
+    (tmp_path / "taken" / "overlap_permuted.csv").mkdir(parents=True)
     return tmp_path, vals, labels, flags
 
 
@@ -179,6 +181,17 @@ def test_report_writes_no_svg_when_a_csv_cannot_be_drawn(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
+def test_report_refuses_a_directory_at_an_svg_name(tmp_path, capsys):
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.csv").write_text("bin_left,bin_right,count\n0,1,3\n1,2,5\n")
+    (tmp_path / "b.svg").mkdir()
+    before = _tree(tmp_path)
+    assert _run("report", "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: input: cannot write {tmp_path}/b.svg: Is a directory\n"
+    assert _tree(tmp_path) == before  # a.svg is not written either
+
+
 @pytest.mark.parametrize("argv", [
     ["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/y.txt", "--flags", "{d}/f.txt",
      "--min-count", "5"],
@@ -282,6 +295,10 @@ def test_cli_reproducible_responses(tmp_path):
      "bin_width 1 is below the float spacing of values near 1e+17"),
     (["response", "--n-data", "0", "--out", "{d}/new/out"], 4,
      "n_data and n_feats must be >= 1"),
+    (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels", "{d}/y.txt",
+      "--out", "{d}/taken"], 3,
+     "error: input: cannot write {d}/taken: [Errno 21] Is a directory: "
+     "'{d}/taken/overlap_permuted.csv'"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
@@ -294,7 +311,7 @@ def test_cli_reproducible_responses(tmp_path):
         "response_epsilon_nan", "response_c_inf", "mftma_no_dichotomies", "negative_seed",
         "binary_read_as_text", "bin_width_inf", "min_count_zero", "overlap_labels_directory",
         "overlap_labels_length", "out_is_a_file", "out_under_a_file",
-        "bin_width_below_float_spacing", "out_with_new_parent"])
+        "bin_width_below_float_spacing", "out_with_new_parent", "directory_at_artifact_name"])
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]
     argv = [a.format(d=d) for a in argv]

@@ -1,0 +1,222 @@
+"""Row-blocked kernels against whole-matrix references.
+
+The cached class positions, AO@k and the four forge ops run in blocks of
+about ``store.BLOCK_VALUES`` values. Each is checked bit for bit against the
+whole-matrix code it replaced (kept below as the reference) on tie-heavy
+matrices of several blocks with a ragged last block, and their numpy
+allocations are bounded with ``tracemalloc``.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from logitlab import forge, stats
+from logitlab.rng import substream
+from logitlab.store import (
+    BLOCK_VALUES,
+    DatasetBundle,
+    LabelVector,
+    LogitMatrix,
+    store_matrix,
+)
+
+
+# ---------- whole-matrix references ----------
+
+def _order(v):
+    return np.argsort(-v, axis=-1, kind="stable")
+
+
+def _ref_positions(v):
+    position = np.empty(v.shape, dtype=np.intp)
+    np.put_along_axis(position, _order(v), np.arange(v.shape[1])[None, :], axis=1)
+    return position
+
+
+def _ref_average_overlap(v1, v2, k_max):
+    n, c = v1.shape
+    first_shared = np.maximum(_ref_positions(v1), _ref_positions(v2))
+    shared = np.cumsum(np.bincount(first_shared.ravel(), minlength=c))[:k_max]
+    depth = np.arange(1, k_max + 1)
+    return np.cumsum(shared / (n * depth)) / depth
+
+
+def _ref_permuted_overlap(v1, v2, labels, k_max, seed):
+    perm = np.arange(labels.size)
+    for c in np.unique(labels):
+        ids = np.flatnonzero(labels == c)
+        perm[ids] = ids[substream(seed, int(c)).permutation(ids.size)]
+    return _ref_average_overlap(v1, v2[perm], k_max)
+
+
+def _ref_bottom(v, k):
+    bottom = np.ones(v.shape, dtype=bool)
+    np.put_along_axis(bottom, _order(v)[:, :k], False, axis=1)
+    return bottom, v[bottom].reshape(v.shape[0], v.shape[1] - k)
+
+
+def _ref_fix_k_permute(v, k, seed):
+    bottom, rest = _ref_bottom(v, k)
+    perms = np.empty(rest.shape, dtype=np.intp)
+    for r in range(v.shape[0]):
+        perms[r] = substream(seed, r).permutation(rest.shape[1])
+    out = v.copy()
+    out[bottom] = np.take_along_axis(rest, perms, axis=1).ravel()
+    return out
+
+
+def _ref_fix_k_average(v, k):
+    bottom, rest = _ref_bottom(v, k)
+    return np.where(bottom, rest.mean(axis=1)[:, None], v)
+
+
+def _ref_correct_fix_1(v, labels):
+    out = v.copy()
+    preds = np.argmax(out, axis=1)
+    for r in np.flatnonzero(preds != labels):
+        p, t = preds[r], labels[r]
+        out[r, p], out[r, t] = out[r, t], out[r, p]
+    return out
+
+
+def _ref_hybrid(values, index):
+    out = np.empty(values.shape)
+    np.put_along_axis(out, _order(index), np.sort(values, axis=1)[:, ::-1], axis=1)
+    return out
+
+
+# ---------- inputs ----------
+
+def _ragged_rows(cols, blocks=2):
+    """A row count giving `blocks` full blocks plus a ragged last one."""
+    return blocks * (BLOCK_VALUES // cols) + 37
+
+
+def _tie_heavy(rng, rows, cols):
+    """Values rounded to one decimal, plus all-equal rows and rows of +-0.0."""
+    v = np.round(rng.standard_normal((rows, cols)), 1)
+    v[::7] = 0.5
+    v[3::11] = rng.choice([-0.0, 0.0], size=(v[3::11].shape))
+    v[5::13] = rng.choice([-0.0, 0.0, 1.0, -1.0], size=(v[5::13].shape))
+    return v
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+# ---------- cached class positions ----------
+
+@pytest.mark.parametrize("cols,dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+@pytest.mark.parametrize("kind", ["random", "rounded", "all_equal", "signed_zero"])
+def test_positions_invert_the_stable_descending_order(cols, dtype, kind):
+    rng = np.random.default_rng(cols)
+    rows = _ragged_rows(cols)
+    v = {
+        "random": lambda: rng.standard_normal((rows, cols)),
+        "rounded": lambda: np.round(rng.standard_normal((rows, cols))),
+        "all_equal": lambda: np.full((rows, cols), 2.5),
+        "signed_zero": lambda: rng.choice([-0.0, 0.0], size=(rows, cols)),
+    }[kind]()
+    m = LogitMatrix(v)
+    assert m.positions.dtype == dtype and not m.positions.flags.writeable
+    assert np.array_equal(m.positions, _ref_positions(v))
+    assert m.positions is m.positions  # computed once
+
+
+# ---------- AO@k and forge, bit for bit ----------
+
+SHAPES = [(_ragged_rows(100), 100), (_ragged_rows(1000, 3), 1000)]
+
+
+@pytest.fixture(scope="module", params=SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def pair(request):
+    rows, cols = request.param
+    rng = np.random.default_rng(rows * cols)
+    a = _tie_heavy(rng, rows, cols)
+    b = np.round(a + rng.standard_normal(a.shape) * 0.3, 1)
+    b[1::9] = a[1::9]
+    labels = rng.integers(0, cols, rows)
+    labels[::5] = np.argmax(a[::5], axis=1)
+    return a, b, labels
+
+
+def test_overlap_curves_match_the_whole_matrix_reference(pair):
+    a, b, labels = pair
+    c = a.shape[1]
+    for k_max in (1, 7, c):
+        got = stats.average_overlap(LogitMatrix(a), LogitMatrix(b), k_max).ao_at_k
+        assert _same_bits(got, _ref_average_overlap(a, b, k_max))
+    lab = LabelVector(labels % 3)  # few classes: long within-class permutations
+    got = stats.within_class_permuted_overlap(
+        DatasetBundle(LogitMatrix(a), lab), DatasetBundle(LogitMatrix(b), lab), c, 5).ao_at_k
+    assert _same_bits(got, _ref_permuted_overlap(a, b, lab.labels, c, 5))
+
+
+def test_forge_ops_match_the_whole_matrix_reference(pair):
+    a, b, labels = pair
+    m = LogitMatrix(a)
+    for k in (1, 5, a.shape[1] - 1):
+        assert _same_bits(forge.fix_k_permute(m, k, 17).values, _ref_fix_k_permute(a, k, 17))
+        assert _same_bits(forge.fix_k_average(m, k).values, _ref_fix_k_average(a, k))
+    assert _same_bits(forge.correct_fix_1(m, LabelVector(labels)).values,
+                      _ref_correct_fix_1(a, labels))
+    assert _same_bits(forge.hybrid_merge(m, LogitMatrix(b)).values, _ref_hybrid(a, b))
+
+
+# ---------- memory ----------
+
+ROWS, COLS = 20_000, 100   # 15.3 MiB per matrix, about 15 blocks
+MATRIX_BYTES = ROWS * COLS * 8
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while fn runs; what it returns stays counted."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _fresh(seed):
+    return LogitMatrix(np.random.default_rng(seed).standard_normal((ROWS, COLS)))
+
+
+def test_both_overlap_curves_stay_under_three_quarters_of_a_matrix():
+    a, b = _fresh(0), _fresh(1)
+    labels = LabelVector(np.random.default_rng(2).integers(0, COLS, ROWS))
+
+    def both():
+        stats.average_overlap(a, b, COLS)
+        stats.within_class_permuted_overlap(DatasetBundle(a, labels), DatasetBundle(b, labels),
+                                            COLS, 0)
+
+    assert _peak_bytes(both) <= 0.75 * MATRIX_BYTES
+
+
+@pytest.mark.parametrize("op", ["fix_k_permute", "fix_k_average", "correct_fix_1", "hybrid"])
+def test_forge_ops_stay_under_one_and_a_half_matrices(op):
+    m, other = _fresh(3), _fresh(4)
+    labels = LabelVector(np.random.default_rng(5).integers(0, COLS, ROWS))
+    run = {
+        "fix_k_permute": lambda: forge.fix_k_permute(m, 5, 0),
+        "fix_k_average": lambda: forge.fix_k_average(m, 5),
+        "correct_fix_1": lambda: forge.correct_fix_1(m, labels),
+        "hybrid": lambda: forge.hybrid_merge(m, other),
+    }[op]
+    assert _peak_bytes(run) <= 1.5 * MATRIX_BYTES
+
+
+def test_binary_store_writes_without_copying_the_matrix(tmp_path):
+    m = _fresh(6)
+    assert _peak_bytes(lambda: store_matrix(m, tmp_path / "m.lgt", "binary")) \
+        <= 0.1 * MATRIX_BYTES
