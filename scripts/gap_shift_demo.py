@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Compare the predicted squared-gap change against a synthetic measurement.
+"""Compare the predicted first-order change of the correct-sample logit gap
+against a synthetic measurement.
 
-Runs the end-to-end linear-response experiment for a grid of beta pairs and
-prints predicted vs measured values; each grid cell also lands in its own
-gap_shift.csv under the output directory.
+Runs the end-to-end linear-response experiment for every (beta_correct,
+beta_wrong) pair drawn from --betas and prints the predicted and measured
+values; it writes no files. `logitlab response` writes one cell's values to
+gap_shift.csv.
 """
 
 import argparse

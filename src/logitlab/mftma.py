@@ -7,8 +7,9 @@ min ||V - T||^2 s.t. V.(s, 1) <= -kappa, a nonnegative least-squares problem
 (Lawson-Hanson NNLS), and averaging
 [t0 + t.s_tilde]_+^2 / (1 + ||s_tilde||^2) over draws and manifolds. The
 manifold radius R_M, dimension D_M, center correlation rho_center, the
-alpha_Ball/alpha_Point quadratures, center null-space projection, and an
-empirical separability-bisection capacity are also provided.
+alpha_Ball/alpha_Point capacities in closed form, center null-space
+projection, and an empirical separability-bisection capacity are also
+provided.
 
 The empirical capacity calls a dichotomy separable when its box margin
 max_{||w||_inf <= 1} min_i y_i w.x_i exceeds 1e-9. One NNLS on the
@@ -16,12 +17,13 @@ least-distance form of the problem gives a lower and an upper bound on that
 margin, and these decide; the HiGHS LP is the fallback for the rare case
 where the bounds straddle the tolerance.
 
-``quad``, ``linprog`` and ``nnls`` are module-level forwarding functions that
+``linprog`` and ``nnls`` are module-level forwarding functions that
 import scipy on their first call, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,6 @@ import numpy as np
 from . import _lazy
 from .rng import substream
 
-quad = _lazy("scipy.integrate", "quad")
 linprog = _lazy("scipy.optimize", "linprog")
 nnls = _lazy("scipy.optimize", "nnls")
 
@@ -212,35 +213,26 @@ def project_null_centers(mset: ManifoldSet) -> ManifoldSet:
     return ManifoldSet(tuple(out))
 
 
-def _gauss_pdf(t: float) -> float:
-    return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+def _shortfall_moment(a: float) -> float:
+    """E[(a - t)_+^2] for t ~ N(0, 1), the integral of phi(t) (a - t)^2 over
+    t <= a: (a^2 + 1) Phi(a) + a phi(a). Exact to rounding for a >= 0."""
+    pdf = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    cdf = 0.5 * math.erfc(-a / math.sqrt(2.0))
+    return (a * a + 1.0) * cdf + a * pdf
 
 
 def alpha_ball(R: float, D: float) -> float:
     """Capacity of L2-ball manifolds with radius R and dimension D."""
-    if R < 0 or D < 0:
-        raise MftmaError("R and D must be nonnegative")
-    lim = R * np.sqrt(D)
-    val, _ = quad(
-        lambda t: _gauss_pdf(t) * (lim - t) ** 2 / (R**2 + 1.0),
-        -np.inf,
-        lim,
-        epsabs=1e-12,
-        epsrel=1e-12,
-    )
-    return 1.0 / val
+    if not (0.0 <= R < np.inf and 0.0 <= D < np.inf):
+        raise MftmaError("R and D must be finite and nonnegative")
+    return (R**2 + 1.0) / _shortfall_moment(R * math.sqrt(D))
 
 
 def alpha_point(kappa: float) -> float:
     """Capacity of points under an imposed margin kappa."""
-    val, _ = quad(
-        lambda t: _gauss_pdf(t) * (t - kappa) ** 2,
-        -np.inf,
-        kappa,
-        epsabs=1e-12,
-        epsrel=1e-12,
-    )
-    return 1.0 / val
+    if not 0.0 <= kappa < np.inf:
+        raise MftmaError("kappa must be finite and nonnegative")
+    return 1.0 / _shortfall_moment(kappa)
 
 
 def _margin_bounds(signed: np.ndarray) -> tuple[float, float]:

@@ -7,7 +7,9 @@ with the Lagrange multiplier lambda* pinned by a trace equation. From the
 closed-form solution we get per-sample Jacobians, their Gram matrices, and
 the first-order logit response to a gradient-direction (FGSM) attack. All of
 them come from one eigendecomposition of the smaller Gram matrix, X^T X or
-X X^T.
+X X^T. Omega(X, lambda*) = X R^2 X^T is applied to a few columns at a time
+from those eigenpairs, and its diagonal is summed one block of rows at a
+time, so no N_data x rank matrix is formed beside X.
 
 ``brentq`` is a module-level forwarding function that imports scipy on its
 first call, so importing this module loads no scipy.
@@ -23,7 +25,7 @@ import numpy as np
 from . import _lazy
 from .rng import substream
 from .stats import logit_gaps, softmax
-from .store import LabelVector, LogitMatrix
+from .store import LabelVector, LogitMatrix, row_blocks
 from .surrogate import (
     GapShiftInput,
     MeanFieldParams,
@@ -44,15 +46,20 @@ class GramSpectrum:
     """Eigendecomposition of the smaller Gram matrix of X.
 
     d and v are the eigenvalues and eigenvectors of X^T X when n_data >=
-    n_feats, and of X X^T otherwise (wide). xv is X V on the range of X^T:
-    X v, or v sqrt(d) in the wide case, where the other n_feats - n_data
-    eigenvalues of X^T X are zero and X maps their directions to zero.
+    n_feats, and of X X^T otherwise (wide). X V, the data-space image of the
+    eigenvectors on the range of X^T, is never stored: it is applied as
+    X (v w), or as v (sqrt(d) w) in the wide case, where the other
+    n_feats - n_data eigenvalues of X^T X are zero and X maps their
+    directions to zero.
     """
 
     d: np.ndarray
     v: np.ndarray
-    xv: np.ndarray
     wide: bool
+
+    def root_d(self) -> np.ndarray:
+        """sqrt(d), with round-off negatives taken as 0: the norms of X v_i."""
+        return np.sqrt(np.maximum(self.d, 0.0))
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ class ResponseProblem:
             raise ResponseError("X and Z_tilde must share the data dimension")
         if not (np.isfinite(x).all() and np.isfinite(z).all()):
             raise ResponseError("non-finite entries in problem matrices")
-        norms = np.linalg.norm(x, axis=1)
+        norms = _row_norms(x)
         if np.abs(norms - 1.0).max() > 1e-12:
             i = int(np.argmax(np.abs(norms - 1.0)))
             raise ResponseError(f"row {i} of X is not unit-normalized")
@@ -87,11 +94,8 @@ class ResponseProblem:
         """X's Gram spectrum, computed on first use; lambda*, omega, the
         Jacobians and the attack response are all derived from it."""
         x = self.X
-        if x.shape[0] >= x.shape[1]:
-            d, v = np.linalg.eigh(x.T @ x)
-            return GramSpectrum(d, v, x @ v, wide=False)
-        d, u = np.linalg.eigh(x @ x.T)
-        return GramSpectrum(d, u, u * np.sqrt(np.maximum(d, 0.0)), wide=True)
+        wide = x.shape[0] < x.shape[1]
+        return GramSpectrum(*np.linalg.eigh(x @ x.T if wide else x.T @ x), wide=wide)
 
 
 @dataclass(frozen=True)
@@ -101,18 +105,56 @@ class FyodorovSolution:
     W: np.ndarray           # N_data x N_classes
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1), squaring one block of rows at a time."""
+    norms = np.empty(x.shape[0])
+    for b in row_blocks(*x.shape):
+        norms[b] = np.linalg.norm(x[b], axis=1)
+    return norms
+
+
+def _xv(problem: ResponseProblem, w: np.ndarray) -> np.ndarray:
+    """(X V) w, N_data x k for a rank x k w."""
+    spec = problem.spectrum
+    if spec.wide:
+        return spec.v @ (spec.root_d()[:, None] * w)
+    return problem.X @ (spec.v @ w)
+
+
+def _xv_t(problem: ResponseProblem, y: np.ndarray) -> np.ndarray:
+    """(X V)^T y, rank x k for an N_data x k y."""
+    spec = problem.spectrum
+    if spec.wide:
+        return spec.root_d()[:, None] * (spec.v.T @ y)
+    return spec.v.T @ (problem.X.T @ y)
+
+
 def _resolvent_xt(problem: ResponseProblem, lam: float, y: np.ndarray) -> np.ndarray:
     """R X^T y with the resolvent R = [X^T X - lam I]^{-1}."""
     spec = problem.spectrum
     scale = (1.0 / (spec.d - lam))[:, None]
     if spec.wide:  # push-through: R X^T = X^T [X X^T - lam I]^{-1}
         return problem.X.T @ (spec.v @ (scale * (spec.v.T @ y)))
-    return spec.v @ (scale * (spec.xv.T @ y))
+    return spec.v @ (scale * _xv_t(problem, y))
 
 
-def _omega_factor(problem: ResponseProblem, lam: float) -> np.ndarray:
-    """Q with Omega(X, lambda*) = X R R X^T = Q Q^T, N_data x rank."""
-    return problem.spectrum.xv / (problem.spectrum.d - lam)
+def _omega(problem: ResponseProblem, lam: float, y: np.ndarray) -> np.ndarray:
+    """Omega(X, lam) y with Omega = X R^2 X^T = (X V) (D - lam)^{-2} (X V)^T."""
+    scale = (1.0 / (problem.spectrum.d - lam) ** 2)[:, None]
+    return _xv(problem, scale * _xv_t(problem, y))
+
+
+def _omega_diag(problem: ResponseProblem, lam: float) -> np.ndarray:
+    """diag Omega(X, lam), from one block of rows of X V at a time."""
+    spec = problem.spectrum
+    scale = 1.0 / (spec.d - lam) ** 2
+    n_data, rank = problem.X.shape[0], spec.d.size
+    root_d = spec.root_d()
+    diag = np.empty(n_data)
+    for b in row_blocks(n_data, rank):
+        xv = spec.v[b] * root_d if spec.wide else problem.X[b] @ spec.v
+        diag[b] = np.square(xv, out=xv) @ scale
+    return diag
 
 
 def solve_lambda_star(problem: ResponseProblem) -> float:
@@ -122,11 +164,11 @@ def solve_lambda_star(problem: ResponseProblem) -> float:
     n_feats = problem.X.shape[1]
     n_classes = z.shape[1]
     target = problem.c**2 * n_feats * n_classes
-    d, xv = spec.d, spec.xv
+    d = spec.d
     # trace(X R^2 X^T S) = sum_i (Xv_i)^T S (Xv_i) / (d_i - lam)^2 with
-    # S = Z~Z~^T + sigma0^2 I applied factor-wise
-    szv = z @ (z.T @ xv) + problem.sigma0**2 * xv
-    m = np.einsum("ij,ij->j", xv, szv)
+    # S = Z~Z~^T + sigma0^2 I and ||X v_i||^2 = d_i
+    zxv = _xv_t(problem, z)
+    m = np.einsum("ij,ij->i", zxv, zxv) + problem.sigma0**2 * np.maximum(d, 0.0)
 
     def trace_gap(lam: float) -> float:
         return float(np.sum(m / (d - lam) ** 2) - target)
@@ -181,13 +223,14 @@ def jj_transpose(
     """Gram matrix Jac^mu (Jac^mu)^T via the four-term closed form."""
     z = problem.Z_tilde
     _check_sample(problem, mu)
-    q = _omega_factor(problem, sol.lambda_star)
-    qz = q.T @ z
-    b_mu = qz.T @ q[mu]                # Z~^T Omega[:, mu]
+    e_mu = np.zeros((z.shape[0], 1))
+    e_mu[mu] = 1.0
+    om = _omega(problem, sol.lambda_star, np.hstack([e_mu, z]))
+    b_mu = z.T @ om[:, 0]              # Z~^T Omega[:, mu]
     zm = z[mu]
     return (
-        float(q[mu] @ q[mu]) * np.outer(zm, zm)
-        + qz.T @ qz
+        om[mu, 0] * np.outer(zm, zm)
+        + z.T @ om[:, 1:]
         + np.outer(zm, b_mu)
         + np.outer(b_mu, zm)
     )
@@ -195,8 +238,8 @@ def jj_transpose(
 
 def _attack(
     sol: FyodorovSolution, problem: ResponseProblem
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Omega factor Q, and for every sample JJ^T_mu g_mu and zeta_mu.
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every sample, JJ^T_mu g_mu and zeta_mu.
 
     g_mu = softmax(z~^mu) - y^mu is the attack gradient and JJ^T_mu g_mu =
     Omega_mumu z_mu (z_mu.g) + Z~^T Omega Z~ g + z_mu (b_mu.g) + b_mu (z_mu.g)
@@ -205,13 +248,11 @@ def _attack(
     """
     z = problem.Z_tilde
     g = softmax(z) - np.eye(z.shape[1])[problem.labels.labels]
-    q = _omega_factor(problem, sol.lambda_star)
-    qz = q.T @ z
-    b = q @ qz                         # row mu is b_mu
+    b = _omega(problem, sol.lambda_star, z)      # row mu is b_mu
     zg = np.einsum("ij,ij->i", z, g)
     jjg = (
-        (np.einsum("ij,ij->i", q, q) * zg)[:, None] * z
-        + g @ (qz.T @ qz)
+        (_omega_diag(problem, sol.lambda_star) * zg)[:, None] * z
+        + g @ (z.T @ b)
         + np.einsum("ij,ij->i", b, g)[:, None] * z
         + zg[:, None] * b
     )
@@ -219,7 +260,7 @@ def _attack(
     pos = quad > 0.0
     zeta = np.zeros_like(quad)
     zeta[pos] = 1.0 / np.sqrt(quad[pos])
-    return q, jjg, zeta
+    return jjg, zeta
 
 
 def fgsm_logit_response(
@@ -231,7 +272,7 @@ def fgsm_logit_response(
     zeta_mu = 1/sqrt(g^T JJ^T g). Samples with zero attack gradient get a
     zero row.
     """
-    _, jjg, zeta = _attack(sol, problem)
+    jjg, zeta = _attack(sol, problem)
     return problem.epsilon * zeta[:, None] * jjg
 
 
@@ -249,8 +290,9 @@ def gap_shift_experiment(
 
     Builds unit-normalized Gaussian features, assembles surrogate logits with
     misclassified samples at rate error_rate, runs the FGSM linear response,
-    and returns (predicted shrinkage, measured mean gap change over
-    correctly classified samples, measured std).
+    and returns the predicted first-order change of the correct-sample logit
+    gap, and the mean and std of its measurement over correctly classified
+    samples.
     """
     if n_data < 1 or n_feats < 1:
         raise ResponseError("n_data and n_feats must be >= 1")
@@ -261,7 +303,7 @@ def gap_shift_experiment(
     beta_c, f = surrogate_logit(SurrogateSpec(n, params.beta_correct, "correct", branch), 0, 0)[:2]
     rng = substream(seed, 1)
     x = rng.standard_normal((n_data, n_feats))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x /= _row_norms(x)[:, None]
 
     n_wrong = int(round(params.error_rate * n_data))
     labels = rng.integers(0, n, size=n_data)
@@ -283,7 +325,7 @@ def gap_shift_experiment(
         sigma0=sigma0, c=c, epsilon=epsilon, seed=seed,
     )
     sol = fyodorov_omega(problem)
-    q, jjg, zeta = _attack(sol, problem)
+    jjg, zeta = _attack(sol, problem)
     dz = epsilon * zeta[:, None] * jjg
 
     gaps_before = logit_gaps(LogitMatrix(z))
@@ -292,11 +334,11 @@ def gap_shift_experiment(
     measured_mean = float(change.mean()) if change.size else 0.0
     measured_std = float(change.std()) if change.size else 0.0
 
-    # Omega aggregation: row-mu sums of Omega(X, lambda*) = Q Q^T over
-    # correctly and incorrectly labeled nu, scaled by epsilon*zeta_mu and
-    # averaged over mu.
-    sum_correct = q @ q[correct_mask].sum(axis=0)
-    sum_wrong = q @ q[~correct_mask].sum(axis=0)
+    # Omega aggregation: row-mu sums of Omega(X, lambda*) over correctly and
+    # incorrectly labeled nu, scaled by epsilon*zeta_mu and averaged over mu.
+    sum_correct, sum_wrong = _omega(
+        problem, sol.lambda_star, np.column_stack([correct_mask, wrong]).astype(np.float64)
+    ).T
     eps_err = params.error_rate
     w_c = epsilon * np.mean(zeta * sum_correct)
     w_w = epsilon * np.mean(zeta * sum_wrong)

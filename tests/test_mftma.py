@@ -8,20 +8,40 @@ from scipy.stats import norm
 from logitlab import mftma as mf
 
 
-# ---------- quadratures ----------
+# ---------- capacity closed forms ----------
 
 def test_alpha_point_kappa_zero():
     assert mf.alpha_point(0.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_alpha_point_closed_form():
-    for kappa in (-1.0, 0.0, 0.5, 1.0, 2.0):
+    for kappa in (0.0, 0.5, 1.0, 2.0):
         closed = 1.0 / ((1 + kappa**2) * norm.cdf(kappa) + kappa * norm.pdf(kappa))
         assert mf.alpha_point(kappa) == pytest.approx(closed, abs=1e-10)
 
 
 def test_alpha_point_large_kappa_vanishes():
     assert mf.alpha_point(6.0) < 0.03
+
+
+def test_capacities_refuse_negative_or_non_finite_arguments():
+    for kappa in (-1.0, -1e-12, np.inf, np.nan):
+        with pytest.raises(mf.MftmaError, match="kappa"):
+            mf.alpha_point(kappa)
+    for r, d in ((-1.0, 2.0), (1.0, -2.0), (np.inf, 2.0), (1.0, np.nan)):
+        with pytest.raises(mf.MftmaError, match="R and D"):
+            mf.alpha_ball(r, d)
+
+
+def test_capacities_reach_their_large_argument_limits():
+    # the Gaussian mass below the margin is all of it: E[(a - t)_+^2] -> a^2 + 1
+    for kappa in (10.0, 40.0, 1e3):
+        assert mf.alpha_point(kappa) == pytest.approx(1.0 / (kappa**2 + 1.0), rel=1e-14)
+    for r, d in ((10.0, 20.0), (10.0, 100.0), (3.0, 1e4)):
+        assert mf.alpha_ball(r, d) == pytest.approx((r**2 + 1.0) / (r**2 * d + 1.0), rel=1e-14)
+    # numerical quadrature lost this mass: 2.2e24 and a ZeroDivisionError
+    assert mf.alpha_point(40.0) == pytest.approx(6.246e-4, rel=1e-3)
+    assert mf.alpha_ball(10.0, 100.0) == pytest.approx(101.0 / 10001.0, rel=1e-14)
 
 
 def test_alpha_ball_reduces_to_point_at_zero_radius():

@@ -4,7 +4,7 @@ import pytest
 from logitlab import response as rp
 from logitlab import surrogate as sg
 from logitlab.stats import softmax
-from logitlab.store import LabelVector
+from logitlab.store import BLOCK_VALUES, LabelVector
 
 
 def _problem(n_data=20, n_feats=8, n_classes=5, sigma0=1e-3, c=1.0, eps=0.1, seed=0):
@@ -211,6 +211,27 @@ def test_fgsm_normalization():
     assert np.allclose(dz[mu], expect, atol=1e-12)
 
 
+def test_fgsm_rows_match_dense_omega_on_several_row_blocks():
+    # diag Omega is summed one block of rows of X V at a time; 700 rows of
+    # 400 make three blocks, the last one ragged
+    n_data, n_feats = 700, 400
+    assert 2 < n_data / (BLOCK_VALUES // n_feats) < 3
+    p = _problem(n_data=n_data, n_feats=n_feats, eps=0.1)
+    sol = rp.fyodorov_omega(p)
+    dz = rp.fgsm_logit_response(sol, p)
+    x, z = p.X, p.Z_tilde
+    # Omega = X R^2 X^T = T^T T with T = R X^T, R symmetric
+    t = np.linalg.solve(x.T @ x - sol.lambda_star * np.eye(n_feats), x.T)
+    omega = t.T @ t
+    g = softmax(z) - np.eye(z.shape[1])[p.labels.labels]
+    b = omega @ z                       # row mu is Z~^T Omega[:, mu]
+    zg = np.einsum("ij,ij->i", z, g)
+    jjg = (np.diag(omega) * zg)[:, None] * z + g @ (z.T @ omega @ z) \
+        + np.einsum("ij,ij->i", b, g)[:, None] * z + zg[:, None] * b
+    expect = p.epsilon * jjg / np.sqrt(np.einsum("ij,ij->i", g, jjg))[:, None]
+    assert np.abs(dz - expect).max() < 1e-10
+
+
 # ---------- end-to-end experiment ----------
 
 def test_gap_shift_zero_epsilon():
@@ -292,3 +313,4 @@ def test_gap_shift_pinned_values(n_data, n_feats, expect):
     params = sg.MeanFieldParams(5.0, 5.0, 10, 0.2)
     out = rp.gap_shift_experiment(params, n_data, n_feats, 0.1, seed=0)
     assert out == pytest.approx(expect, rel=1e-12, abs=0.0)
+

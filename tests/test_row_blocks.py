@@ -4,7 +4,9 @@ The cached class positions, AO@k and the four forge ops run in blocks of
 about ``store.BLOCK_VALUES`` values. Each is checked bit for bit against the
 whole-matrix code it replaced (kept below as the reference) on tie-heavy
 matrices of several blocks with a ragged last block, and their numpy
-allocations are bounded with ``tracemalloc``.
+allocations are bounded with ``tracemalloc``. So is the linear-response
+experiment, whose Omega diagonal is summed in the same blocks (its dense
+oracle is in test_response.py).
 """
 
 import tracemalloc
@@ -12,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logitlab import forge, stats
+from logitlab import forge, response, stats
 from logitlab.rng import substream
 from logitlab.store import (
     BLOCK_VALUES,
@@ -21,6 +23,7 @@ from logitlab.store import (
     LogitMatrix,
     store_matrix,
 )
+from logitlab.surrogate import MeanFieldParams
 
 
 # ---------- whole-matrix references ----------
@@ -220,3 +223,15 @@ def test_binary_store_writes_without_copying_the_matrix(tmp_path):
     m = _fresh(6)
     assert _peak_bytes(lambda: store_matrix(m, tmp_path / "m.lgt", "binary")) \
         <= 0.1 * MATRIX_BYTES
+
+
+@pytest.mark.parametrize("n_data,n_feats", [(1200, 600), (600, 1200)],
+                         ids=["tall_1200x600", "wide_600x1200"])
+def test_gap_shift_holds_no_data_by_rank_matrix_beside_x(n_data, n_feats):
+    # X, the Gram matrix and its eigenvectors (rank x rank each), and blocks
+    # of about BLOCK_VALUES values; an N_data x rank factor would not fit
+    rank = min(n_data, n_feats)
+    bound = 8 * (n_data * n_feats + 2 * rank * rank) + 2 * 2**20
+    params = MeanFieldParams(5.0, 5.0, 10, 0.2)
+    assert _peak_bytes(lambda: response.gap_shift_experiment(params, n_data, n_feats, 0.1, seed=0)) \
+        <= bound
