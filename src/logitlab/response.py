@@ -11,18 +11,19 @@ X X^T. Omega(X, lambda*) = X R^2 X^T is applied to a few columns at a time
 from those eigenpairs, and its diagonal is summed one block of rows at a
 time, so no N_data x rank matrix is formed beside X.
 
-``brentq`` is a module-level forwarding function that imports scipy on its
-first call, so importing this module loads no scipy.
+lambda* is found by ``brentq``, a plain-Python port of scipy's Brent solver
+that returns the same float as ``scipy.optimize.brentq``, so neither importing
+nor running this module loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import _lazy
 from .rng import substream
 from .stats import logit_gaps, softmax
 from .store import LabelVector, LogitMatrix, row_blocks
@@ -34,11 +35,77 @@ from .surrogate import (
     surrogate_logit,
 )
 
-brentq = _lazy("scipy.optimize", "brentq")
-
 
 class ResponseError(Exception):
     pass
+
+
+def _div(n: float, d: float) -> float:
+    """n / d as IEEE 754 divides: +-inf or nan where d == 0, not an exception."""
+    if d:
+        return n / d
+    if n == 0 or math.isnan(n):
+        return math.nan
+    return math.copysign(math.inf, n) * math.copysign(1.0, d)
+
+
+def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A step-for-step port of scipy.optimize.brentq (scipy's brentq.c): the same
+    inverse-interpolation, extrapolation and bisection steps, the same
+    tolerance delta = (xtol + rtol*|x|)/2 and the same evaluation order, so
+    it returns the same float for the same f and bracket. Where scipy raises,
+    this raises ResponseError: f(a) and f(b) of one sign, a NaN value of f,
+    or no convergence within maxiter steps.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ResponseError(f"brentq: the objective is NaN at {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ResponseError(f"brentq: f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ResponseError(f"brentq: no convergence in {maxiter} steps, last x {xcur!r}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +142,9 @@ class ResponseProblem:
     def __post_init__(self) -> None:
         x = np.asarray(self.X, dtype=np.float64)
         z = np.asarray(self.Z_tilde, dtype=np.float64)
-        if x.ndim != 2 or z.ndim != 2 or x.shape[0] != z.shape[0]:
-            raise ResponseError("X and Z_tilde must share the data dimension")
-        if not (np.isfinite(x).all() and np.isfinite(z).all()):
+        if x.ndim != 2 or z.ndim != 2 or x.shape[0] != z.shape[0] or 0 in x.shape + z.shape:
+            raise ResponseError("X and Z_tilde must be non-empty and share the data dimension")
+        if not all(np.isfinite(a[b]).all() for a in (x, z) for b in row_blocks(*a.shape)):
             raise ResponseError("non-finite entries in problem matrices")
         norms = _row_norms(x)
         if np.abs(norms - 1.0).max() > 1e-12:
@@ -175,7 +242,10 @@ def solve_lambda_star(problem: ResponseProblem) -> float:
 
     # a wide X leaves X^T X with zero eigenvalues outside d
     hi = (0.0 if spec.wide else d.min()) - 1e-8
-    lo = -1e6
+    # for lam <= lo every d_i - lam >= sqrt(sum(m) / target), so the trace
+    # there is at most the target; -1e6 stays the end wherever that bound
+    # lies above it
+    lo = min(-1e6, min(d.min(), hi) - math.sqrt(m.sum() / target))
     f_lo, f_hi = trace_gap(lo), trace_gap(hi)
     if f_lo > 0 or f_hi < 0:
         raise ResponseError(

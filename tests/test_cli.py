@@ -377,7 +377,9 @@ def _python(*args):
      "--min-count", "5"],
     ["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels", "{d}/y.txt"],
     ["manipulate", "--logits", "{d}/m.lgt", "--kind", "fix_k_permute", "--k", "2"],
-], ids=["import", "stats", "overlap", "manipulate"])
+    ["response", "--n-data", "60", "--n-feats", "30"],
+    ["analytic", "--surface", "--shrinkage", "--threshold", "--beta-step", "1.0"],
+], ids=["import", "stats", "overlap", "manipulate", "response", "analytic"])
 def test_cold_start_loads_no_scipy(dataset, argv):
     d = dataset[0]
     if argv:

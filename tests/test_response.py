@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq as scipy_brentq
 
 from logitlab import response as rp
 from logitlab import surrogate as sg
@@ -25,17 +28,32 @@ def test_problem_validation():
         rp.ResponseProblem(X=x, Z_tilde=z, labels=LabelVector([0, 1, 0, 1]))
 
 
+@pytest.mark.parametrize("x_shape,z_shape", [((0, 3), (0, 2)), ((4, 0), (4, 2)),
+                                             ((4, 3), (4, 0))],
+                         ids=["no_rows", "no_features", "no_classes"])
+def test_problem_refuses_empty_matrices(x_shape, z_shape):
+    # a zero-width Z_tilde would set the trace target to 0, met only as
+    # lambda -> -inf
+    with pytest.raises(rp.ResponseError, match="non-empty"):
+        rp.ResponseProblem(X=np.ones(x_shape), Z_tilde=np.zeros(z_shape),
+                           labels=LabelVector([]))
+
+
 # ---------- lambda* ----------
+
+def _trace_residual(p, lam):
+    """Relative residual of the trace equation at lam, from a dense inverse."""
+    x, z = p.X, p.Z_tilde
+    n_feats, n_classes = x.shape[1], z.shape[1]
+    r = np.linalg.inv(x.T @ x - lam * np.eye(n_feats))
+    tr = np.trace(x @ r @ r @ x.T @ (z @ z.T + p.sigma0**2 * np.eye(x.shape[0])))
+    target = p.c**2 * n_feats * n_classes
+    return abs(tr - target) / target
+
 
 def test_lambda_star_residual():
     p = _problem()
-    sol = rp.fyodorov_omega(p)
-    x, z = p.X, p.Z_tilde
-    n_feats, n_classes = x.shape[1], z.shape[1]
-    r = np.linalg.inv(x.T @ x - sol.lambda_star * np.eye(n_feats))
-    tr = np.trace(x @ r @ r @ x.T @ (z @ z.T + p.sigma0**2 * np.eye(x.shape[0])))
-    target = p.c**2 * n_feats * n_classes
-    assert abs(tr - target) / target < 1e-8
+    assert _trace_residual(p, rp.fyodorov_omega(p).lambda_star) < 1e-8
 
 
 def test_lambda_star_orthonormal_closed_form():
@@ -74,11 +92,79 @@ def test_lambda_star_monotone_in_c():
     assert lams[0] < lams[1] < lams[2]
 
 
-def test_lambda_star_bracket_error():
-    # absurdly small c makes the target unreachable from below
-    p = _problem(c=1e-9)
+@pytest.mark.parametrize("n_data,n_feats", [(20, 8), (50, 80)], ids=["tall_20x8", "wide_50x80"])
+@pytest.mark.parametrize("c", [1e-7, 1e-9])
+def test_lambda_star_small_c_solves_below_the_fixed_bracket(n_data, n_feats, c):
+    # the trace falls to 0 as lambda -> -inf, so a small c has a root far
+    # below -1e6; the bracket's lower end follows the trace's asymptote
+    p = _problem(n_data=n_data, n_feats=n_feats, c=c)
+    lam = rp.solve_lambda_star(p)
+    assert lam < -1e6
+    assert _trace_residual(p, lam) < 1e-8
+
+
+def test_lambda_star_unreachable_target_raises():
+    # a wide X caps the trace at lambda -> 0-, far below c = 1e3's target
+    p = _problem(n_data=8, n_feats=20, c=1e3)
     with pytest.raises(rp.ResponseError, match="trace range"):
         rp.solve_lambda_star(p)
+
+
+# ---------- brentq against scipy ----------
+
+def _bracketed(rng):
+    """A seeded function with a sign change on its bracket, and the bracket."""
+    r = rng.uniform(-10, 10)
+    a, b = r - rng.uniform(1e-3, 20), r + rng.uniform(1e-3, 20)
+    c, k, q = rng.uniform(0.1, 5), rng.uniform(0.1, 5), rng.uniform(0.2, 3)
+    f = [
+        lambda x: c * (x - r) + k * (x - r) ** 3,
+        lambda x: c * math.copysign(abs(x - r) ** q, x - r) - 1e-3 * k,
+        lambda x: c * math.expm1(k * (x - r)),
+        lambda x: math.atan(k * (x - r)) + 1e-300,
+        lambda x: (x - r) * math.exp(-k * (x - r) ** 2) + 1e-2 * c * (x - r),
+    ][rng.integers(0, 5)]
+    return (f, b, a) if rng.random() < 0.5 else (f, a, b)
+
+
+def test_brentq_matches_scipy_bit_for_bit_on_random_functions():
+    rng = np.random.default_rng(12)
+    for _ in range(1200):
+        f, a, b = _bracketed(rng)
+        tol = {"xtol": 10.0 ** rng.uniform(-16, -2), "rtol": 10.0 ** rng.uniform(-15, -3)}
+        want = scipy_brentq(f, a, b, **tol)
+        assert rp.brentq(f, a, b, **tol) == want
+
+
+@pytest.mark.parametrize("n_data,n_feats,c", [(20, 8, 1.0), (12, 30, 0.5), (16, 16, 1.0),
+                                              (20, 8, 1e-9)],
+                         ids=["tall_20x8", "wide_12x30", "square_16x16", "tall_small_c"])
+def test_brentq_matches_scipy_on_the_lambda_star_objective(monkeypatch, n_data, n_feats, c):
+    port, solves = rp.brentq, []
+
+    def both(f, a, b, **tol):
+        solves.append((port(f, a, b, **tol), scipy_brentq(f, a, b, **tol)))
+        return solves[-1][0]
+
+    monkeypatch.setattr(rp, "brentq", both)
+    for seed in range(3):
+        rp.solve_lambda_star(_problem(n_data=n_data, n_feats=n_feats, c=c, seed=seed))
+    assert len(solves) == 3
+    assert all(got == want for got, want in solves)
+
+
+@pytest.mark.parametrize("f,a,b,kw,match", [
+    (lambda x: x * x + 1.0, -1.0, 2.0, {}, "same sign"),
+    (lambda x: math.nan if 0.3 < x < 0.9 else x - 0.75, 0.0, 1.0, {}, "NaN at 0.75"),
+    (lambda x: math.nan, 0.0, 1.0, {}, "NaN"),
+    (lambda x: x**3 - 2.0, 0.0, 2.0, {"maxiter": 3}, "no convergence"),
+], ids=["same_sign", "nan_inside", "nan_at_end", "maxiter"])
+def test_brentq_errors_are_response_errors(f, a, b, kw, match):
+    tol = {"xtol": 2e-12, "rtol": 1e-12, **kw}
+    with pytest.raises(rp.ResponseError, match=match):
+        rp.brentq(f, a, b, **tol)
+    with pytest.raises((ValueError, RuntimeError)):  # scipy fails on the same inputs
+        scipy_brentq(f, a, b, **tol)
 
 
 # ---------- omega ----------

@@ -6,7 +6,7 @@ whole-matrix code it replaced (kept below as the reference) on tie-heavy
 matrices of several blocks with a ragged last block, and their numpy
 allocations are bounded with ``tracemalloc``. So is the linear-response
 experiment, whose Omega diagonal is summed in the same blocks (its dense
-oracle is in test_response.py).
+oracle is in test_response.py), and the checks of its problem's inputs.
 """
 
 import tracemalloc
@@ -235,3 +235,15 @@ def test_gap_shift_holds_no_data_by_rank_matrix_beside_x(n_data, n_feats):
     params = MeanFieldParams(5.0, 5.0, 10, 0.2)
     assert _peak_bytes(lambda: response.gap_shift_experiment(params, n_data, n_feats, 0.1, seed=0)) \
         <= bound
+
+
+def test_response_problem_checks_its_inputs_one_row_block_at_a_time():
+    # finiteness and row norms each take one block of about BLOCK_VALUES
+    # values; a whole-matrix np.isfinite(X) would take X.size bytes
+    x = np.random.default_rng(7).standard_normal((2000, 1000))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    z = np.zeros((2000, 10))
+    labels = LabelVector(np.zeros(2000, dtype=int))
+    bound = 8 * BLOCK_VALUES + 8 * 2000 + 2**17
+    assert bound < x.size
+    assert _peak_bytes(lambda: response.ResponseProblem(X=x, Z_tilde=z, labels=labels)) <= bound
