@@ -77,11 +77,8 @@ class _Outputs:
         self.names.append(name)
         return self.stage / name
 
-    def csv(self, name: str, header: str, rows) -> None:
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-        self.path(name).write_text("\n".join(lines) + "\n")
+    def csv(self, name: str, header: str, *columns) -> None:
+        store.write_rows(self.path(name), header, columns)
 
     def _open(self) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
@@ -138,15 +135,15 @@ def _load_bundle(args) -> store.DatasetBundle:
 def _cmd_stats(args, outputs: _Outputs) -> None:
     bundle = _load_bundle(args)
     ml = stats.max_logit_distribution(bundle.logits, args.bin_width)
-    outputs.csv("max_logit.csv", "bin_left,bin_right,count", ml.histogram)
-    outputs.csv("max_logit_summary.csv", "mean,std,skewness", [(ml.mean, ml.std, ml.skewness)])
-    outputs.csv("gaps.csv", "gap", [(float(g),) for g in stats.logit_gaps(bundle.logits)])
+    outputs.csv("max_logit.csv", "bin_left,bin_right,count", *zip(*ml.histogram))
+    outputs.csv("max_logit_summary.csv", "mean,std,skewness", [ml.mean], [ml.std], [ml.skewness])
+    outputs.csv("gaps.csv", "gap", stats.logit_gaps(bundle.logits))
     gd = stats.gap_distribution(bundle.logits, args.bin_width)
-    outputs.csv("gap_hist.csv", "bin_left,bin_right,count", gd.histogram)
+    outputs.csv("gap_hist.csv", "bin_left,bin_right,count", *zip(*gd.histogram))
     if bundle.flags is not None:
         curve = stats.gap_accuracy_curve(bundle, args.bin_width, args.min_count)
         outputs.csv("gap_accuracy.csv", "gap_low,gap_high,n_samples,adversarial_accuracy",
-                    curve.bins)
+                    *zip(*curve.bins))
 
 
 def _cmd_overlap(args, outputs: _Outputs) -> None:
@@ -154,15 +151,13 @@ def _cmd_overlap(args, outputs: _Outputs) -> None:
     m2 = store.load_matrix(args.logits2, args.format)
     k_max = args.k if args.k else m1.cols
     curve = stats.average_overlap(m1, m2, k_max)
-    rows = [(int(k), float(v)) for k, v in zip(curve.k_values, curve.ao_at_k)]
-    outputs.csv("overlap.csv", "k,ao_at_k", rows)
+    outputs.csv("overlap.csv", "k,ao_at_k", curve.k_values, curve.ao_at_k)
     if args.labels:
         labels = store.load_labels(args.labels)
         b1 = store.validate_bundle(m1, labels)
         b2 = store.validate_bundle(m2, labels)
         perm = stats.within_class_permuted_overlap(b1, b2, k_max, args.seed)
-        rows = [(int(k), float(v)) for k, v in zip(perm.k_values, perm.ao_at_k)]
-        outputs.csv("overlap_permuted.csv", "k,ao_at_k", rows)
+        outputs.csv("overlap_permuted.csv", "k,ao_at_k", perm.k_values, perm.ao_at_k)
 
 
 def _cmd_manipulate(args, outputs: _Outputs) -> None:
@@ -192,17 +187,15 @@ def _cmd_analytic(args, outputs: _Outputs) -> None:
     ):
         if wanted:
             values = surface(grid, grid, args.n_classes, args.error_rate, args.branch).ravel()
-            rows = np.column_stack(pairs + [values]).tolist()
-            outputs.csv(f"{name}.csv", f"beta_correct,beta_wrong,{column}", rows)
+            outputs.csv(f"{name}.csv", f"beta_correct,beta_wrong,{column}", *pairs, values)
     if args.threshold:
-        rows = []
-        for nn in range(4, args.n_classes + 1):
+        ns, ths = range(4, args.n_classes + 1), []
+        for nn in ns:
             try:
-                th = surrogate.admissibility_threshold(nn, "misclassified", args.branch)
+                ths.append(surrogate.admissibility_threshold(nn, "misclassified", args.branch))
             except surrogate.SearchError:
-                th = float("nan")
-            rows.append((nn, th))
-        outputs.csv("threshold.csv", "n_classes,threshold", rows)
+                ths.append(float("nan"))
+        outputs.csv("threshold.csv", "n_classes,threshold", ns, ths)
 
 
 def _cmd_response(args, outputs: _Outputs) -> None:
@@ -214,7 +207,7 @@ def _cmd_response(args, outputs: _Outputs) -> None:
         sigma0=args.sigma0, c=args.c, seed=args.seed,
     )
     outputs.csv("gap_shift.csv", "beta_correct,beta_wrong,predicted,measured_mean,measured_std",
-                [(args.beta_correct, args.beta_wrong, predicted, mean, std)])
+                [args.beta_correct], [args.beta_wrong], [predicted], [mean], [std])
 
 
 def _cmd_mftma(args, outputs: _Outputs) -> None:
@@ -235,11 +228,11 @@ def _cmd_mftma(args, outputs: _Outputs) -> None:
         mset = mftma.project_null_centers(mset)
     result = mftma.mftma_capacity(mset, args.n_samples, args.kappa, args.seed)
     outputs.csv("mftma.csv", "alpha_mftma,radius,dimension,center_correlation,n_samples,seed",
-                [(result.alpha_mftma, result.radius, result.dimension,
-                  result.center_correlation, result.n_gaussian_samples, result.seed)])
+                [result.alpha_mftma], [result.radius], [result.dimension],
+                [result.center_correlation], [result.n_gaussian_samples], [result.seed])
     if args.empirical:
         cap = mftma.empirical_capacity(mset, args.n_dichotomies, args.seed)
-        outputs.csv("empirical_capacity.csv", "alpha_empirical", [(cap,)])
+        outputs.csv("empirical_capacity.csv", "alpha_empirical", [cap])
 
 
 def build_parser() -> _Parser:

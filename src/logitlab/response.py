@@ -237,8 +237,11 @@ def solve_lambda_star(problem: ResponseProblem) -> float:
     zxv = _xv_t(problem, z)
     m = np.einsum("ij,ij->i", zxv, zxv) + problem.sigma0**2 * np.maximum(d, 0.0)
 
+    def trace(lam: float) -> np.float64:
+        return np.sum(m / (d - lam) ** 2)
+
     def trace_gap(lam: float) -> float:
-        return float(np.sum(m / (d - lam) ** 2) - target)
+        return float(trace(lam) - target)
 
     # a wide X leaves X^T X with zero eigenvalues outside d
     hi = (0.0 if spec.wide else d.min()) - 1e-8
@@ -250,7 +253,7 @@ def solve_lambda_star(problem: ResponseProblem) -> float:
     if f_lo > 0 or f_hi < 0:
         raise ResponseError(
             "no lambda* in bracket: achievable trace range "
-            f"[{f_lo + target:.3e}, {f_hi + target:.3e}] misses target {target:.3e}"
+            f"[{trace(lo):.3e}, {trace(hi):.3e}] misses target {target:.3e}"
         )
     lam = brentq(trace_gap, lo, hi, xtol=1e-14, rtol=1e-12)
     return float(lam)

@@ -207,6 +207,17 @@ def refuse_directories(paths: Iterable[Path]) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(p))
 
 
+def write_rows(path: str | Path, header: str, columns: Sequence) -> None:
+    """Write the header line, then one line per row of the equal-length
+    columns, a row at a time: a column of integers (numpy's, or Python's of
+    any size) as str() writes them, every other value as %.17g."""
+    line = ",".join("%d" if isinstance(next(iter(c), 0.0), (int, np.integer)) else "%.17g"
+                    for c in columns) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(line % row for row in zip(*columns, strict=True))
+
+
 def store_matrix(m: LogitMatrix, path: str | Path, format: str = "binary") -> None:
     """Write a matrix to disk. Binary is bit-exact; text is value-exact."""
     path = Path(path)
@@ -217,11 +228,7 @@ def store_matrix(m: LogitMatrix, path: str | Path, format: str = "binary") -> No
                 f.write(struct.pack("<II", m.rows, m.cols))
                 f.write(np.ascontiguousarray(m.values, dtype="<f8").data)
         elif format == "text":
-            line = ",".join(["%.17g"] * m.cols) + "\n"
-            with open(path, "w") as f:
-                f.write(f"{m.rows},{m.cols}\n")
-                for b in row_blocks(m.rows, m.cols):
-                    f.writelines(line % tuple(row) for row in m.values[b].tolist())
+            write_rows(path, f"{m.rows},{m.cols}", m.values.T)
         else:
             raise ValueError(f"unknown format {format!r}")
     except OSError as e:

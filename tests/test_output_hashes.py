@@ -1,9 +1,10 @@
-"""Byte-identity gate for the forge outputs, the stats CSVs, the
-surrogate-model artifacts and the SVGs `report` draws from them.
+"""Byte-identity gate for the forge outputs, the stats, overlap and mftma
+CSVs, the surrogate-model artifacts and the SVGs `report` draws from them.
 
 The forge and stats inputs are small seeded matrices rounded to one decimal,
 so rows hold ties and the tie order (ascending class index) decides the
-outputs. The analytic and response runs take no input file. The SHA-256 of
+outputs. The mftma clouds are small seeded Gaussian matrices. The analytic
+and response runs take no input file. The SHA-256 of
 every output file is pinned; a rewrite of the ranking, forge, text IO,
 closed-form or response code must reproduce each file byte for byte, or,
 where float reassociation moves the last bits, re-pin the hash in the same
@@ -88,6 +89,72 @@ def test_outputs_are_byte_identical(inputs, tmp_path, fmt):
     expected = FORGE[fmt] | STATS
     got = {name: _sha256(tmp_path / name) for name in expected}
     assert got == expected
+
+
+# Hashes taken from the CSV writer that formatted each value in Python.
+OVERLAP = {
+    "overlap.csv": "83693f7373b70b0fbe462b941cf48503cbcf5e73235d6746a61e8a2a5862b29d",
+    "overlap_permuted.csv": "7ff69fbc578aac536d4a82364bac9231ebfc018d41aa9bf5b4b3f709df988663",
+}
+
+
+def test_overlap_outputs_are_byte_identical(inputs, tmp_path):
+    d = inputs
+    assert cli.main(["overlap", "--logits", str(d / "a.binary"), "--logits2", str(d / "b.binary"),
+                     "--labels", str(d / "y.txt"), "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert {name: _sha256(tmp_path / name) for name in OVERLAP} == OVERLAP
+
+
+@pytest.fixture(scope="module")
+def clouds(tmp_path_factory):
+    d = tmp_path_factory.mktemp("clouds")
+    rng = np.random.default_rng(20211028)
+    names = [f"cloud{i}.lgt" for i in range(4)]
+    for name in names:
+        store_matrix(LogitMatrix(rng.standard_normal((6, 12))), d / name, "binary")
+    (d / "manifolds.txt").write_text("\n".join(names) + "\n")
+    return d / "manifolds.txt"
+
+
+MFTMA = {
+    "mftma.csv": "878788f48010001ae19b2b1312d6961b09d1566d255649afb657b9db0a81c959",
+    "empirical_capacity.csv": "dafdf0ed00efc87035ea791867cbe32530852adbb6b4e0022ea37bb1bca33532",
+}
+
+
+def test_mftma_outputs_are_byte_identical(clouds, tmp_path):
+    assert cli.main(["mftma", "--manifolds", str(clouds), "--n-samples", "30", "--empirical",
+                     "--n-dichotomies", "8", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert {name: _sha256(tmp_path / name) for name in MFTMA} == MFTMA
+
+
+# Cases a columns writer can get wrong: no rows, an integer beyond int64 and
+# NaN cells. Hashes taken from the CSV writer that formatted each value in
+# Python; each case also checks the text that makes it an edge case.
+EDGE_CASES = {
+    "threshold_no_rows": (
+        ["analytic", "--threshold", "--n-classes", "3"], "threshold.csv",
+        lambda text: text == "n_classes,threshold\n",
+        "d440560d71dd359285124e8d151c7bcbf2a86907e731847e01876b327d975d4f"),
+    "seed_beyond_int64": (
+        ["mftma", "--n-samples", "5", "--seed", str(2**70 + 1)], "mftma.csv",
+        lambda text: text.endswith(f",5,{2**70 + 1}\n"),
+        "477d08f7a728774e47ece097902c5947e24f0d3ee017d1df154c4a0d704ea866"),
+    "nan_surface_cells": (
+        ["analytic", "--surface", "--beta-min", "0.5", "--beta-max", "3", "--beta-step", "0.5"],
+        "loss_surface.csv", lambda text: "\n3,2,nan\n3,2.5,2.5360186024925189\n" in text,
+        "c936e1aa7e647c048477d7cf994114eba3e9fe5512862e602876ff0b1aad881e"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_csv_edge_cases_are_byte_identical(clouds, tmp_path, case):
+    argv, name, holds, expected = EDGE_CASES[case]
+    if argv[0] == "mftma":
+        argv = [*argv, "--manifolds", str(clouds)]
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert holds((tmp_path / name).read_text())
+    assert _sha256(tmp_path / name) == expected
 
 
 # Hashes taken from the per-beta, per-cell and per-sample implementation.

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,8 +107,11 @@ def test_lambda_star_small_c_solves_below_the_fixed_bracket(n_data, n_feats, c):
 def test_lambda_star_unreachable_target_raises():
     # a wide X caps the trace at lambda -> 0-, far below c = 1e3's target
     p = _problem(n_data=8, n_feats=20, c=1e3)
-    with pytest.raises(rp.ResponseError, match="trace range"):
+    with pytest.raises(rp.ResponseError, match="trace range") as e:
         rp.solve_lambda_star(p)
+    # the low end is the trace at the bracket's end, not trace - target + target
+    low = float(re.search(r"range \[(\S+),", str(e.value)).group(1))
+    assert low > 0
 
 
 # ---------- brentq against scipy ----------

@@ -6,7 +6,8 @@ whole-matrix code it replaced (kept below as the reference) on tie-heavy
 matrices of several blocks with a ragged last block, and their numpy
 allocations are bounded with ``tracemalloc``. So is the linear-response
 experiment, whose Omega diagonal is summed in the same blocks (its dense
-oracle is in test_response.py), and the checks of its problem's inputs.
+oracle is in test_response.py), the checks of its problem's inputs, and the
+CSV writer, which formats one row at a time.
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logitlab import forge, response, stats
+from logitlab import cli, forge, response, stats
 from logitlab.rng import substream
 from logitlab.store import (
     BLOCK_VALUES,
@@ -247,3 +248,16 @@ def test_response_problem_checks_its_inputs_one_row_block_at_a_time():
     bound = 8 * BLOCK_VALUES + 8 * 2000 + 2**17
     assert bound < x.size
     assert _peak_bytes(lambda: response.ResponseProblem(X=x, Z_tilde=z, labels=labels)) <= bound
+
+
+def test_analytic_csv_holds_no_rows_as_python_objects(tmp_path):
+    # 300 betas, 90k rows: the three float64 columns and 2 MiB; one block of
+    # BLOCK_VALUES Python floats (4 MiB with their list slots) would not fit
+    argv = ["analytic", "--surface", "--beta-min", "0.01", "--beta-max", "3",
+            "--beta-step", "0.01", "--out", str(tmp_path)]
+    rows = 300 * 300
+    bound = 8 * 3 * rows + 2 * 2**20
+    codes = []
+    assert _peak_bytes(lambda: codes.append(cli.main(argv))) <= bound
+    assert codes == [0]
+    assert len((tmp_path / "loss_surface.csv").read_text().splitlines()) == rows + 1
