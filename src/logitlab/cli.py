@@ -211,16 +211,12 @@ def _cmd_response(args, outputs: _Outputs) -> None:
 
 
 def _cmd_mftma(args, outputs: _Outputs) -> None:
-    listing = store._read_text(Path(args.manifolds))
-    files = [ln.strip() for ln in listing.splitlines() if ln.strip()]
+    files = [ln.strip() for _, ln in store.read_lines(Path(args.manifolds))]
     if not files:
         raise store.ParseError(f"{args.manifolds}: empty manifold manifest")
-    base = Path(args.manifolds).parent
     clouds = []
     for name in files:
-        p = Path(name)
-        if not p.is_absolute():
-            p = base / p
+        p = Path(args.manifolds).parent / name  # an absolute name stays as it is
         clouds.append(store.load_matrix(p, args.format).values)
         outputs.inputs.append(p)
     mset = mftma.ManifoldSet(tuple(clouds))

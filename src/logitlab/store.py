@@ -5,10 +5,10 @@ Binary layout: magic b"LGT1", two little-endian uint32 counts (rows, cols),
 then rows*cols little-endian float64 values in row-major order.
 
 Text layout: first line "rows,cols", then one comma-separated line per row,
-values printed with 17 significant digits (shortest exact round-trip for
-IEEE doubles).
+values printed with 17 significant digits, enough to round-trip any double.
 
-Labels and flags are one integer per line.
+Labels and flags are one integer per line. One line reader, read_lines, reads
+every text input: matrices, labels, flags and the manifold listing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import compress, count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -27,6 +27,7 @@ import numpy as np
 MAGIC = b"LGT1"
 # Values per block of a row-blocked whole-matrix kernel: 1 MiB of float64.
 BLOCK_VALUES = 1 << 17
+READ_BYTES = 4 * BLOCK_VALUES  # per read of a text input: half a block of float64
 
 
 class StoreError(Exception):
@@ -281,60 +282,65 @@ def _adopt(arr: np.ndarray) -> LogitMatrix:
     return m
 
 
-def _read_text(path: Path) -> str:
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(i, line) for each non-blank line of a UTF-8 text file, i counting every
+    line as str.splitlines() does; decodes READ_BYTES of whole lines at a time."""
+    i = 0
     try:
-        return path.read_text()
+        with open(path, "rb") as f:
+            while data := f.read(READ_BYTES) + f.readline():
+                try:
+                    lines = data.decode().splitlines()
+                except UnicodeDecodeError as e:  # named by its offset in the file
+                    at = f.tell() - len(data) + e.start
+                    raise ParseError(f"{path}: not text ({e.reason} at byte {at})") from None
+                yield from compress(zip(count(i), lines), map(str.strip, lines))
+                i += len(lines)
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not text ({e.reason} at byte {e.start})") from None
 
 
 def _load_text(path: Path) -> LogitMatrix:
-    lines = _read_text(path).splitlines()
-    if not lines:
+    lines = read_lines(path)
+    _, header = next(lines, (0, None))
+    if header is None:
         raise ParseError(f"{path}: empty file")
-    head = lines[0].split(",")
-    if len(head) != 2:
-        raise ParseError(f"{path}: header must be 'rows,cols', got {lines[0]!r}")
     try:
-        rows, cols = int(head[0]), int(head[1])
-    except ValueError as e:
-        raise ParseError(f"{path}: non-integer header {lines[0]!r}") from e
+        rows, cols = map(int, header.split(","))
+    except ValueError:
+        why = "non-integer header" if header.count(",") == 1 else "header must be 'rows,cols', got"
+        raise ParseError(f"{path}: {why} {header!r}") from None
     if rows < 0 or cols < 0:
-        raise ParseError(f"{path}: negative size in header {lines[0]!r}")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != rows:
-        raise ParseError(f"{path}: header promises {rows} rows, found {len(body)}")
-    if all(ln.count(",") == cols - 1 for ln in body):
-        cells = chain.from_iterable(ln.split(",") for ln in body)
-        try:
-            vals = np.fromiter(map(float, cells), np.float64, rows * cols)
-            return _adopt(vals.reshape(rows, cols))
-        except ValueError:
-            pass
-        except ValidationError:
-            if np.isfinite(vals).all():
-                raise
-    return _load_cells(path, body, rows, cols)
-
-
-def _load_cells(path: Path, body: list, rows: int, cols: int) -> LogitMatrix:
-    """Cell-by-cell parse; its ParseError names the first bad row or cell."""
-    vals = np.empty((rows, cols), dtype=np.float64)
-    for r, line in enumerate(body):
-        parts = line.split(",")
-        if len(parts) != cols:
-            raise ParseError(f"{path}: row {r} has {len(parts)} values, expected {cols}")
-        for c, tok in enumerate(parts):
+        raise ParseError(f"{path}: negative size in header {header!r}")
+    size = os.path.getsize(path)
+    if max(rows, 1) * max(cols, 1) > size:  # each value takes a byte or more
+        raise ParseError(f"{path}: header {header!r} is too large for a file of {size} bytes")
+    vals = np.zeros((rows, cols), dtype=np.float64)  # the check below reads row n too
+    n = 0  # rows parsed
+    try:
+        for _, line in islice(lines, rows):
+            parts = line.split(",")
+            if len(parts) != cols:
+                raise ParseError(f"{path}: row {n} has {len(parts)} values, expected {cols}")
             try:
-                v = float(tok)
-            except ValueError as e:
-                raise ParseError(f"{path}: unparseable value at row {r}, column {c}") from e
-            if not np.isfinite(v):
-                raise ParseError(f"{path}: non-finite value at row {r}, column {c}")
-            vals[r, c] = v
-    return _adopt(vals)
+                vals[n] = list(map(float, parts))
+            except ValueError:  # keep the cells before the bad one for the check below
+                for c, tok in enumerate(parts):
+                    try:
+                        vals[n, c] = float(tok)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: unparseable value at row {n}, column {c}") from None
+            n += 1
+        n += sum(1 for _ in lines)  # lines beyond the promised rows
+        if n != rows:
+            raise ParseError(f"{path}: header promises {rows} rows, found {n}")
+        return _adopt(vals)
+    except StoreError:  # a non-finite value earlier in row-major order comes first
+        if np.isfinite(vals[:n + 1]).all():
+            raise
+        r, c = _first_non_finite(vals[:n + 1])
+        raise ParseError(f"{path}: non-finite value at row {r}, column {c}") from None
 
 
 def store_labels(labels: LabelVector, path: str | Path) -> None:
@@ -344,13 +350,13 @@ def store_labels(labels: LabelVector, path: str | Path) -> None:
 def load_labels(path: str | Path) -> LabelVector:
     path = Path(path)
     vals = []
-    for i, ln in enumerate(_read_text(path).splitlines()):
-        if not ln.strip():
-            continue
+    for i, ln in read_lines(path):
         try:
             vals.append(int(ln))
         except ValueError as e:
             raise ParseError(f"{path}: unparseable label at line {i}") from e
+        if not -(2**63) <= vals[-1] < 2**63:
+            raise ParseError(f"{path}: label at line {i} does not fit in int64")
     return LabelVector(np.array(vals, dtype=np.int64))
 
 
@@ -361,9 +367,7 @@ def store_flags(flags: RobustFlags, path: str | Path) -> None:
 def load_flags(path: str | Path) -> RobustFlags:
     path = Path(path)
     vals = []
-    for i, ln in enumerate(_read_text(path).splitlines()):
-        if not ln.strip():
-            continue
+    for i, ln in read_lines(path):
         tok = ln.strip()
         if tok not in ("0", "1"):
             raise ParseError(f"{path}: flag at line {i} must be 0 or 1, got {tok!r}")

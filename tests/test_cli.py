@@ -31,6 +31,9 @@ def dataset(tmp_path):
     store_matrix(LogitMatrix(vals), tmp_path / "m.lgt", "binary")
     store_labels(LabelVector(labels), tmp_path / "y.txt")
     store_labels(LabelVector(labels[:40]), tmp_path / "y40.txt")
+    (tmp_path / "y_huge.txt").write_text("0\n99999999999999999999999\n")
+    (tmp_path / "wide.txt").write_text("1,3000000000\n1,2\n")
+    (tmp_path / "huge.txt").write_text("1,99999999999999999999\n1,2\n")
     # max logits all 1e17 + 2, where the float spacing is 16
     store_matrix(LogitMatrix(np.full((4, 3), 1e17 + 2)), tmp_path / "big.lgt", "binary")
     store_flags(RobustFlags(flags), tmp_path / "f.txt")
@@ -299,6 +302,16 @@ def test_cli_reproducible_responses(tmp_path):
       "--out", "{d}/taken"], 3,
      "error: input: cannot write {d}/taken: [Errno 21] Is a directory: "
      "'{d}/taken/overlap_permuted.csv'"),
+    (["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/y_huge.txt"], 3,
+     "y_huge.txt: label at line 1 does not fit in int64"),
+    (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels",
+      "{d}/y_huge.txt"], 3, "y_huge.txt: label at line 1 does not fit in int64"),
+    (["manipulate", "--logits", "{d}/m.lgt", "--kind", "correct_fix_1", "--labels",
+      "{d}/y_huge.txt"], 3, "y_huge.txt: label at line 1 does not fit in int64"),
+    (["stats", "--logits", "{d}/wide.txt", "--format", "text"], 3,
+     "wide.txt: header '1,3000000000' is too large for a file of 17 bytes"),
+    (["stats", "--logits", "{d}/huge.txt", "--format", "text"], 3,
+     "huge.txt: header '1,99999999999999999999' is too large for a file of 27 bytes"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
@@ -311,7 +324,9 @@ def test_cli_reproducible_responses(tmp_path):
         "response_epsilon_nan", "response_c_inf", "mftma_no_dichotomies", "negative_seed",
         "binary_read_as_text", "bin_width_inf", "min_count_zero", "overlap_labels_directory",
         "overlap_labels_length", "out_is_a_file", "out_under_a_file",
-        "bin_width_below_float_spacing", "out_with_new_parent", "directory_at_artifact_name"])
+        "bin_width_below_float_spacing", "out_with_new_parent", "directory_at_artifact_name",
+        "stats_label_beyond_int64", "overlap_label_beyond_int64", "manipulate_label_beyond_int64",
+        "text_header_beyond_memory", "text_header_beyond_int64"])
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]
     argv = [a.format(d=d) for a in argv]

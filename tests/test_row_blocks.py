@@ -6,8 +6,9 @@ whole-matrix code it replaced (kept below as the reference) on tie-heavy
 matrices of several blocks with a ragged last block, and their numpy
 allocations are bounded with ``tracemalloc``. So is the linear-response
 experiment, whose Omega diagonal is summed in the same blocks (its dense
-oracle is in test_response.py), the checks of its problem's inputs, and the
-CSV writer, which formats one row at a time.
+oracle is in test_response.py), the checks of its problem's inputs, the CSV
+writer, which formats one row at a time, and the text reader, which parses
+one read of whole lines at a time.
 """
 
 import tracemalloc
@@ -22,6 +23,7 @@ from logitlab.store import (
     DatasetBundle,
     LabelVector,
     LogitMatrix,
+    load_matrix,
     store_matrix,
 )
 from logitlab.surrogate import MeanFieldParams
@@ -224,6 +226,16 @@ def test_binary_store_writes_without_copying_the_matrix(tmp_path):
     m = _fresh(6)
     assert _peak_bytes(lambda: store_matrix(m, tmp_path / "m.lgt", "binary")) \
         <= 0.1 * MATRIX_BYTES
+
+
+def test_text_load_holds_a_few_reads_beside_the_matrix(tmp_path):
+    # 5k x 100 (3.8 MiB): the matrix and 5 MiB; the whole 9.6 MiB file as
+    # text, or its list of lines, would not fit
+    rows = 5_000
+    store_matrix(LogitMatrix(np.random.default_rng(8).standard_normal((rows, COLS))),
+                 tmp_path / "m.txt", "text")
+    assert _peak_bytes(lambda: load_matrix(tmp_path / "m.txt", "text")) \
+        <= 8 * rows * COLS + 5 * 2**20
 
 
 @pytest.mark.parametrize("n_data,n_feats", [(1200, 600), (600, 1200)],

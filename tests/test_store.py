@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from logitlab.store import (
     load_flags,
     load_labels,
     load_matrix,
+    read_lines,
     store_flags,
     store_labels,
     store_matrix,
@@ -75,21 +78,39 @@ def test_ragged_row_is_parse_error(tmp_path):
     ("2,3\n1,2,3\n4,5,inf\n", "non-finite value at row 1, column 2"),
     ("2,3\n1,2,3\n4,5\n", "row 1 has 2 values, expected 3"),
     ("3,3\n1,2,3\n4,5,6\n", "header promises 3 rows, found 2"),
+    ("2,3\n1,2,3\n4,5,6\n7,8,9\n", "header promises 2 rows, found 3"),
+    # faults come in file order: row 0's bad cell before the missing row
+    ("3,3\n1,x,3\n4,5,6\n", "unparseable value at row 0, column 1"),
+    # rows x cols is checked against the file size before it is allocated
+    ("1,3000000000\n1,2\n", "header '1,3000000000' is too large for a file of 17 bytes"),
+    ("1,99999999999999999999\n1,2\n",
+     "header '1,99999999999999999999' is too large for a file of 27 bytes"),
+    ("0,99999999999999999999\n",
+     "header '0,99999999999999999999' is too large for a file of 23 bytes"),
     # row-major order: the short row 1 comes before row 2's bad cell, and
     # row 0's non-finite cell before its later unparseable one
     ("3,3\n1,nan,?\n4,5\n7,?,9\n", "non-finite value at row 0, column 1"),
+    ("3,3\n1,inf,3\n4,?,6\n", "non-finite value at row 0, column 1"),
     ("3,3\n1,2,3\n4,5\n7,?,9\n", "row 1 has 2 values, expected 3"),
     ("3,3\n1,2,3\n4,?,6,7\n7,8,9\n", "row 1 has 4 values, expected 3"),
     ("1,-2\n1,2\n", "negative size in header '1,-2'"),
     ("0,-2\n", "negative size in header '0,-2'"),
-], ids=["unparseable", "non_finite", "short_row", "row_count", "first_bad_cell",
-        "short_before_bad", "long_row", "negative_cols", "negative_cols_no_rows"])
+], ids=["unparseable", "non_finite", "short_row", "row_count", "extra_row",
+        "bad_cell_before_row_count", "huge_cols", "huge_cols_beyond_int64", "no_rows_huge_cols",
+        "first_bad_cell", "non_finite_before_later_bad_cell", "short_before_bad", "long_row",
+        "negative_cols", "negative_cols_no_rows"])
 def test_text_failure_messages(tmp_path, body, message):
     p = tmp_path / "m.txt"
     p.write_text(body)
-    with pytest.raises(ParseError) as err:
-        load_matrix(p, "text")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            load_matrix(p, "text")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert str(err.value) == f"{p}: {message}"
+    assert peak < 2**20
 
 
 def test_bad_header(tmp_path):
@@ -188,6 +209,47 @@ def test_labels_flags_round_trip(tmp_path):
     (tmp_path / "bad.txt").write_text("2\n")
     with pytest.raises(ParseError):
         load_flags(tmp_path / "bad.txt")
+
+
+LINE_READERS = {  # reader, lines of a file, what it reads, a bad last line, its message
+    "matrix": (lambda p: load_matrix(p, "text").values.tolist(), ["2,2", "1,2", "3,4"],
+               [[1.0, 2.0], [3.0, 4.0]], "3,x", "unparseable value at row 1, column 1"),
+    "labels": (lambda p: load_labels(p).labels.tolist(), ["3", "1"], [3, 1], "x",
+               "unparseable label at line 3"),
+    "flags": (lambda p: load_flags(p).flags.tolist(), ["1", "0"], [True, False], "2",
+              "flag at line 3 must be 0 or 1, got '2'"),
+    # the mftma manifold listing is the names read_lines yields
+    "listing": (lambda p: list(read_lines(p)), ["a.lgt", "b.lgt"], [(1, "a.lgt"), (3, "b.lgt")],
+                None, None),
+}
+
+
+@pytest.mark.parametrize("reader", LINE_READERS)
+def test_line_rules_of_every_text_reader(tmp_path, reader):
+    read, lines, want, bad, message = LINE_READERS[reader]
+    p = tmp_path / "in.txt"
+
+    def write(last):  # CRLF endings, and blank and whitespace-only lines
+        p.write_bytes((" \t\r\n" + "\r\n\r\n".join(lines[:-1] + [last]) + "\r\n \r\n").encode())
+
+    write(lines[-1])
+    assert read(p) == want
+    if bad is not None:  # line i counts the skipped lines too
+        write(bad)
+        with pytest.raises(ParseError) as err:
+            read(p)
+        assert str(err.value) == f"{p}: {message}"
+    # a byte that does not decode, past the first read, is named at its offset in the file
+    filler = (lines[-1] + "\n").encode()
+    raw = bytearray(lines[0].encode() + b"\n" + filler * (1_600_000 // len(filler)))
+    raw[1_500_000] = 0xFF
+    p.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as want_err:
+        bytes(raw).decode()
+    assert want_err.value.start == 1_500_000
+    with pytest.raises(ParseError) as err:
+        read(p)
+    assert str(err.value) == f"{p}: not text ({want_err.value.reason} at byte 1500000)"
 
 
 @settings(max_examples=25, deadline=None)
