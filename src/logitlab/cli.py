@@ -28,6 +28,7 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 MAX_BETAS = 1000  # per analytic grid axis; the surface CSVs hold MAX_BETAS**2 rows
+MAX_CLASSES = 1000  # analytic's surfaces hold MAX_BETAS x MAX_CLASSES logits per case
 # the parser options that name an input file; the manifest hashes each one given
 _INPUT_OPTIONS = ("logits", "logits2", "labels", "flags", "index_source", "manifolds")
 
@@ -176,6 +177,8 @@ def _cmd_analytic(args, outputs: _Outputs) -> None:
         raise UsageError(f"--beta-step must be > 0, got {args.beta_step}")
     if not 0 < (args.beta_max + 1e-12 - args.beta_min) / args.beta_step <= MAX_BETAS:
         raise UsageError(f"--beta-min/--beta-max/--beta-step must give 1 to {MAX_BETAS} betas")
+    if args.n_classes > MAX_CLASSES:
+        raise UsageError(f"--n-classes must be at most {MAX_CLASSES}, got {args.n_classes}")
     surrogate._check_error_rate(args.error_rate)
     if not (args.surface or args.shrinkage or args.threshold):
         raise UsageError("analytic requires at least one of --surface/--shrinkage/--threshold")

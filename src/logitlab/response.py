@@ -36,6 +36,9 @@ from .surrogate import (
 )
 
 
+MAX_VALUES = 1 << 26  # gap_shift_experiment's X and Z together: 512 MiB of float64
+
+
 class ResponseError(Exception):
     pass
 
@@ -370,6 +373,8 @@ def gap_shift_experiment(
     if n_data < 1 or n_feats < 1:
         raise ResponseError("n_data and n_feats must be >= 1")
     n = params.n_classes
+    if n_data * (n_feats + n) > MAX_VALUES:  # checked before any array is built
+        raise ResponseError(f"n_data x (n_feats + n_classes) exceeds {MAX_VALUES} values")
     # gap_shrinkage reads both cases, so both betas are checked before any draw
     beta_w, g, psi = surrogate_logit(
         SurrogateSpec(n, params.beta_wrong, "misclassified", branch), 1, 0)[:3]

@@ -8,7 +8,7 @@ Text layout: first line "rows,cols", then one comma-separated line per row,
 values printed with 17 significant digits, enough to round-trip any double.
 
 Labels and flags are one integer per line. One line reader, read_lines, reads
-every text input: matrices, labels, flags and the manifold listing.
+every text input: matrices, labels, flags, manifold listings and report's CSVs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import errno
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, islice
 from pathlib import Path
@@ -165,19 +165,17 @@ class RobustFlags:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Logits plus labels, with optional robustness flags and class names."""
+    """Logits plus labels, with optional robustness flags."""
 
     logits: LogitMatrix
     labels: LabelVector
     flags: Optional[RobustFlags] = None
-    class_names: Optional[Sequence[str]] = field(default=None)
 
 
 def validate_bundle(
     logits: LogitMatrix,
     labels: LabelVector,
     flags: Optional[RobustFlags] = None,
-    class_names: Optional[Sequence[str]] = None,
 ) -> DatasetBundle:
     """Assemble a bundle, checking that all cross-component invariants hold."""
     if len(labels) != logits.rows:
@@ -192,12 +190,7 @@ def validate_bundle(
         raise ValidationError(
             f"flags length mismatch: {len(flags)} flags for {logits.rows} rows"
         )
-    if class_names is not None and len(class_names) != logits.cols:
-        raise ValidationError(
-            f"class_names length mismatch: {len(class_names)} names for "
-            f"{logits.cols} columns"
-        )
-    return DatasetBundle(logits, labels, flags, class_names)
+    return DatasetBundle(logits, labels, flags)
 
 
 def refuse_directories(paths: Iterable[Path]) -> None:

@@ -22,6 +22,19 @@ from logitlab.store import (
 )
 
 
+HIST, HEAT = "bin_left,bin_right,count\n", "beta_correct,beta_wrong,loss\n"
+# report directories: a CSV that can be drawn, a.csv, beside one that cannot, b.csv
+REPORT_CSVS = {
+    "csv_short_row": HIST + "0,1,3\n1,2\n",
+    "csv_long_row": HIST + "0,1,3\n1,2,5,7\n",
+    "csv_inf_count": HIST + "0,1,3\n1,2,inf\n",
+    "csv_inf_value": HEAT + "0,0,1\n0,1,-inf\n",
+    "csv_nan_coordinate": HEAT + "0,0,1\nnan,1,2\n",
+    "csv_huge_values": HEAT + "0,0,1e308\n0,1,-1e308\n",
+    "csv_huge_edges": HIST + "-1e308,0,1\n0,1e308,1\n",
+}
+
+
 @pytest.fixture()
 def dataset(tmp_path):
     rng = np.random.default_rng(0)
@@ -43,6 +56,10 @@ def dataset(tmp_path):
     (tmp_path / "manifolds.txt").write_text("c0.lgt\nc1.lgt\n")
     # an --out with a directory where overlap's second artifact would go
     (tmp_path / "taken" / "overlap_permuted.csv").mkdir(parents=True)
+    for name, text in REPORT_CSVS.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "a.csv").write_text(HIST + "0,1,3\n1,2,5\n")
+        (tmp_path / name / "b.csv").write_text(text)
     return tmp_path, vals, labels, flags
 
 
@@ -180,7 +197,7 @@ def test_report_writes_no_svg_when_a_csv_cannot_be_drawn(tmp_path, capsys):
     (tmp_path / "a.csv").write_text("bin_left,bin_right,count\n0,1,3\n1,2,5\n")
     (tmp_path / "b.csv").write_text("bin_left,bin_right,count\n0,1,x\n")
     assert _run("report", "--out", str(tmp_path)) == 3
-    assert "b.csv: non-numeric CSV cell" in capsys.readouterr().err
+    assert "b.csv: non-numeric CSV cell at line 1" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
@@ -312,6 +329,24 @@ def test_cli_reproducible_responses(tmp_path):
      "wide.txt: header '1,3000000000' is too large for a file of 17 bytes"),
     (["stats", "--logits", "{d}/huge.txt", "--format", "text"], 3,
      "huge.txt: header '1,99999999999999999999' is too large for a file of 27 bytes"),
+    (["analytic", "--surface", "--n-classes", "1000000000"], 2,
+     "--n-classes must be at most 1000, got 1000000000"),
+    (["analytic", "--threshold", "--n-classes", "1000000000"], 2,
+     "--n-classes must be at most 1000, got 1000000000"),
+    (["response", "--n-data", "100000000", "--n-feats", "100000000"], 4,
+     "n_data x (n_feats + n_classes) exceeds 67108864 values"),
+    (["response", "--n-classes", "1000000000", "--beta-correct", "40", "--beta-wrong", "40"],
+     4, "n_data x (n_feats + n_classes) exceeds 67108864 values"),
+    (["report", "--out", "{d}/csv_short_row"], 3, "b.csv: line 2 has 2 cells, the header has 3"),
+    (["report", "--out", "{d}/csv_long_row"], 3, "b.csv: line 2 has 4 cells, the header has 3"),
+    (["report", "--out", "{d}/csv_inf_count"], 3,
+     "b.csv: non-finite bin edge or count at line 2"),
+    (["report", "--out", "{d}/csv_inf_value"], 3, "b.csv: infinite value at line 2"),
+    (["report", "--out", "{d}/csv_nan_coordinate"], 3, "b.csv: non-finite coordinate at line 2"),
+    (["report", "--out", "{d}/csv_huge_values"], 3,
+     "b.csv: value range -1e+308..1e+308 is beyond float range"),
+    (["report", "--out", "{d}/csv_huge_edges"], 3,
+     "b.csv: value range -1e+308..1e+308 is beyond float range"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
@@ -326,7 +361,12 @@ def test_cli_reproducible_responses(tmp_path):
         "overlap_labels_length", "out_is_a_file", "out_under_a_file",
         "bin_width_below_float_spacing", "out_with_new_parent", "directory_at_artifact_name",
         "stats_label_beyond_int64", "overlap_label_beyond_int64", "manipulate_label_beyond_int64",
-        "text_header_beyond_memory", "text_header_beyond_int64"])
+        "text_header_beyond_memory", "text_header_beyond_int64", "analytic_surface_classes_cap",
+        "analytic_threshold_classes_cap", "response_data_by_feats_cap",
+        "response_data_by_classes_cap", "report_short_row", "report_long_row",
+        "report_inf_count", "report_inf_value", "report_nan_coordinate", "report_huge_values",
+        "report_huge_edges"])
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]
     argv = [a.format(d=d) for a in argv]

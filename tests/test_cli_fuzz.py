@@ -1,10 +1,12 @@
 """Exit-code fuzz: whatever the options of `stats`, `overlap`, `manipulate`,
-`analytic`, `response` and `mftma`, the CLI ends with a documented exit code
-(0, 2, 3 or 4; never 3, an input error, for `analytic` and `response`, which
-read no file), a failure prints one stderr line and leaves --out as it was,
-and no exception escapes `cli.main`."""
+`analytic`, `response` and `mftma`, and whatever the CSVs given to `report`,
+the CLI ends with a documented exit code (0, 2, 3 or 4; never 3, an input
+error, for `analytic` and `response`, which read no file), a failure prints
+one stderr line and leaves --out as it was, and no exception escapes
+`cli.main`."""
 
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -93,6 +95,7 @@ def _check_exit(argv, capsys, codes=EXIT_CODES):
         assert err.count("\n") == 1, (argv, err)
         # examples share --out, so this also covers a failure after a success
         assert _snapshot(out) == before, (argv, err)
+    return code
 
 
 @FUZZ
@@ -187,3 +190,23 @@ def test_analytic_exit_codes(tmp_path, capsys, surface, shrinkage, threshold, n_
             "--beta-step", beta_step, "--out", tmp_path / "a"]
     argv += ["--surface"] * surface + ["--shrinkage"] * shrinkage + ["--threshold"] * threshold
     _check_exit(argv, capsys, EXIT_CODES - {3})  # analytic reads no input file
+
+
+CELLS = st.one_of(st.floats(-1e3, 1e3).map(repr),
+                  st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "x", ""]))
+
+
+@FUZZ
+@given(
+    header=st.sampled_from(["bin_left,bin_right,count", "beta_correct,beta_wrong,loss",
+                            "mean,std,skewness"]),
+    rows=st.lists(st.lists(CELLS, min_size=1, max_size=4), max_size=6),
+)
+def test_report_exit_codes(tmp_path, capsys, header, rows):
+    out = tmp_path / "csv"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    (out / "a.csv").write_text(header + "\n" + "".join(",".join(r) + "\n" for r in rows))
+    if _check_exit(["report", "--out", out], capsys, {0, 3}) == 0:
+        svg = (out / "a.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg, (rows, svg)

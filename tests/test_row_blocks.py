@@ -7,8 +7,9 @@ matrices of several blocks with a ragged last block, and their numpy
 allocations are bounded with ``tracemalloc``. So is the linear-response
 experiment, whose Omega diagonal is summed in the same blocks (its dense
 oracle is in test_response.py), the checks of its problem's inputs, the CSV
-writer, which formats one row at a time, and the text reader, which parses
-one read of whole lines at a time.
+writer, which formats one row at a time, the text reader, which parses
+one read of whole lines at a time, and report, which formats each SVG one
+block of rows at a time.
 """
 
 import tracemalloc
@@ -16,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from logitlab import cli, forge, response, stats
+from logitlab import cli, forge, report, response, stats
 from logitlab.rng import substream
 from logitlab.store import (
     BLOCK_VALUES,
@@ -273,3 +274,14 @@ def test_analytic_csv_holds_no_rows_as_python_objects(tmp_path):
     assert _peak_bytes(lambda: codes.append(cli.main(argv))) <= bound
     assert codes == [0]
     assert len((tmp_path / "loss_surface.csv").read_text().splitlines()) == rows + 1
+
+
+def test_report_holds_each_csv_once_as_floats(tmp_path):
+    # 300 betas, 90k rows in each of two CSVs: their float64 arrays (4.1 MiB),
+    # their grid indices and a block of SVG lines; their rows as lists of
+    # Python floats (13.7 MiB a CSV) would not fit
+    assert cli.main(["analytic", "--surface", "--shrinkage", "--beta-min", "0.01",
+                     "--beta-max", "3", "--beta-step", "0.01", "--out", str(tmp_path)]) == 0
+    svgs = []
+    assert _peak_bytes(lambda: svgs.extend(report.emit_report(tmp_path))) <= 16 * 2**20
+    assert [p.name for p in svgs] == ["gap_shrinkage.svg", "loss_surface.svg"]

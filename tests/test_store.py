@@ -195,8 +195,6 @@ def test_validate_bundle_paths():
         validate_bundle(logits, labels, RobustFlags([True, False]))
     with pytest.raises(ValidationError, match="labels length mismatch"):
         validate_bundle(logits, LabelVector([0, 1]))
-    with pytest.raises(ValidationError, match="class_names length mismatch"):
-        validate_bundle(logits, labels, class_names=["a"])
 
 
 def test_labels_flags_round_trip(tmp_path):
