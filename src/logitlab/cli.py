@@ -136,15 +136,15 @@ def _load_bundle(args) -> store.DatasetBundle:
 def _cmd_stats(args, outputs: _Outputs) -> None:
     bundle = _load_bundle(args)
     ml = stats.max_logit_distribution(bundle.logits, args.bin_width)
-    outputs.csv("max_logit.csv", "bin_left,bin_right,count", *zip(*ml.histogram))
+    outputs.csv("max_logit.csv", "bin_left,bin_right,count", *ml.histogram)
     outputs.csv("max_logit_summary.csv", "mean,std,skewness", [ml.mean], [ml.std], [ml.skewness])
     outputs.csv("gaps.csv", "gap", stats.logit_gaps(bundle.logits))
     gd = stats.gap_distribution(bundle.logits, args.bin_width)
-    outputs.csv("gap_hist.csv", "bin_left,bin_right,count", *zip(*gd.histogram))
+    outputs.csv("gap_hist.csv", "bin_left,bin_right,count", *gd.histogram)
     if bundle.flags is not None:
         curve = stats.gap_accuracy_curve(bundle, args.bin_width, args.min_count)
         outputs.csv("gap_accuracy.csv", "gap_low,gap_high,n_samples,adversarial_accuracy",
-                    *zip(*curve.bins))
+                    *curve.bins)
 
 
 def _cmd_overlap(args, outputs: _Outputs) -> None:

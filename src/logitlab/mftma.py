@@ -17,8 +17,8 @@ least-distance form of the problem gives a lower and an upper bound on that
 margin, and these decide; the HiGHS LP is the fallback for the rare case
 where the bounds straddle the tolerance.
 
-``linprog`` and ``nnls`` are module-level forwarding functions that
-import scipy on their first call, so importing this module loads no scipy.
+``linprog`` and ``nnls`` are module-level functions that import scipy's on
+each call, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -28,11 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lazy
 from .rng import substream
 
-linprog = _lazy("scipy.optimize", "linprog")
-nnls = _lazy("scipy.optimize", "nnls")
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the call."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
+def nnls(*args, **kwargs):
+    """scipy.optimize.nnls, imported on the call."""
+    from scipy.optimize import nnls
+    return nnls(*args, **kwargs)
 
 
 class MftmaError(Exception):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .rng import substream
 from .stats import logit_gaps, softmax
-from .store import LabelVector, LogitMatrix, row_blocks
+from .store import LabelVector, LogitMatrix, all_finite, row_blocks, row_norms
 from .surrogate import (
     GapShiftInput,
     MeanFieldParams,
@@ -147,9 +147,9 @@ class ResponseProblem:
         z = np.asarray(self.Z_tilde, dtype=np.float64)
         if x.ndim != 2 or z.ndim != 2 or x.shape[0] != z.shape[0] or 0 in x.shape + z.shape:
             raise ResponseError("X and Z_tilde must be non-empty and share the data dimension")
-        if not all(np.isfinite(a[b]).all() for a in (x, z) for b in row_blocks(*a.shape)):
+        if not (all_finite(x) and all_finite(z)):
             raise ResponseError("non-finite entries in problem matrices")
-        norms = _row_norms(x)
+        norms = row_norms(x)
         if np.abs(norms - 1.0).max() > 1e-12:
             i = int(np.argmax(np.abs(norms - 1.0)))
             raise ResponseError(f"row {i} of X is not unit-normalized")
@@ -173,14 +173,6 @@ class FyodorovSolution:
     omega: np.ndarray       # N_feats x N_classes
     lambda_star: float
     W: np.ndarray           # N_data x N_classes
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=1), squaring one block of rows at a time."""
-    norms = np.empty(x.shape[0])
-    for b in row_blocks(*x.shape):
-        norms[b] = np.linalg.norm(x[b], axis=1)
-    return norms
 
 
 def _xv(problem: ResponseProblem, w: np.ndarray) -> np.ndarray:
@@ -233,12 +225,19 @@ def solve_lambda_star(problem: ResponseProblem) -> float:
     z, spec = problem.Z_tilde, problem.spectrum
     n_feats = problem.X.shape[1]
     n_classes = z.shape[1]
-    target = problem.c**2 * n_feats * n_classes
+    try:
+        target = problem.c**2 * n_feats * n_classes
+    except OverflowError:  # c above about 1.3e154
+        target = math.inf
     d = spec.d
     # trace(X R^2 X^T S) = sum_i (Xv_i)^T S (Xv_i) / (d_i - lam)^2 with
     # S = Z~Z~^T + sigma0^2 I and ||X v_i||^2 = d_i
     zxv = _xv_t(problem, z)
     m = np.einsum("ij,ij->i", zxv, zxv) + problem.sigma0**2 * np.maximum(d, 0.0)
+    m_sum = float(m.sum())  # a Python float: m_sum / target overflows to inf silently
+    if not 0 < target < math.inf or not math.isfinite(m_sum / target):
+        raise ResponseError(f"cannot bracket lambda* for c = {problem.c:g}: "
+                            f"trace target {target:.3e}, data scale {m_sum:.3e}")
 
     def trace(lam: float) -> np.float64:
         return np.sum(m / (d - lam) ** 2)
@@ -251,7 +250,7 @@ def solve_lambda_star(problem: ResponseProblem) -> float:
     # for lam <= lo every d_i - lam >= sqrt(sum(m) / target), so the trace
     # there is at most the target; -1e6 stays the end wherever that bound
     # lies above it
-    lo = min(-1e6, min(d.min(), hi) - math.sqrt(m.sum() / target))
+    lo = min(-1e6, min(d.min(), hi) - math.sqrt(m_sum / target))
     f_lo, f_hi = trace_gap(lo), trace_gap(hi)
     if f_lo > 0 or f_hi < 0:
         raise ResponseError(
@@ -381,7 +380,7 @@ def gap_shift_experiment(
     beta_c, f = surrogate_logit(SurrogateSpec(n, params.beta_correct, "correct", branch), 0, 0)[:2]
     rng = substream(seed, 1)
     x = rng.standard_normal((n_data, n_feats))
-    x /= _row_norms(x)[:, None]
+    x /= row_norms(x)[:, None]
 
     n_wrong = int(round(params.error_rate * n_data))
     labels = rng.integers(0, n, size=n_data)

@@ -31,12 +31,12 @@ class DistributionSummary:
     mean: float
     std: float
     skewness: float
-    histogram: tuple  # of (bin_left, bin_right, count)
+    histogram: tuple  # columns (bin_left, bin_right, count), one entry per bin
 
 
 @dataclass(frozen=True)
 class GapAccuracyCurve:
-    bins: tuple  # of (gap_low, gap_high, n_samples, adversarial_accuracy)
+    bins: tuple  # columns (gap_low, gap_high, n_samples, adversarial_accuracy)
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,11 @@ def _summarize(x: np.ndarray, bin_width: float) -> DistributionSummary:
             f"the histogram bin edges do not increase"
         )
     counts, _ = np.histogram(x, bins=edges)
-    hist = tuple(
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(n_bins)
-    )
     return DistributionSummary(
         mean=float(x.mean()),
         std=float(x.std(ddof=0)),
         skewness=adjusted_skewness(x),
-        histogram=hist,
+        histogram=(edges[:-1], edges[1:], counts),
     )
 
 
@@ -158,23 +155,28 @@ def gap_accuracy_curve(
     idx = np.minimum((gaps / bin_width).astype(int), n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     hits = np.bincount(idx, weights=flags, minlength=n_bins)
-
-    merged = []
-    acc_n, acc_h, lo = 0, 0.0, edges[0]
-    for b in range(n_bins):
-        acc_n += int(counts[b])
-        acc_h += float(hits[b])
-        if acc_n >= min_count:
-            merged.append((float(lo), float(edges[b + 1]), acc_n, acc_h / acc_n))
-            acc_n, acc_h, lo = 0, 0.0, edges[b + 1]
-    if acc_n > 0:
-        if merged:
-            plo, _, pn, pa = merged.pop()
-            tot = pn + acc_n
-            merged.append((plo, float(edges[-1]), tot, (pa * pn + acc_h) / tot))
-        else:
-            merged.append((float(lo), float(edges[-1]), acc_n, acc_h / acc_n))
-    return GapAccuracyCurve(bins=tuple(merged))
+    # a merged bin closes at the first populated bin that brings it to
+    # min_count samples; an empty bin adds none, so only populated ones are walked
+    filled = np.flatnonzero(counts)  # ends with the last bin: the largest gap is there
+    n_cum = np.cumsum(counts[filled])
+    h_cum = np.cumsum(hits[filled])  # whole numbers, so the differences below are exact
+    ends, start = [], 0  # where merged bins close, in filled; samples they hold
+    for i, total in enumerate(n_cum.tolist()):
+        if total - start >= min_count:
+            ends.append(i)
+            start = total
+    if not ends:  # fewer than min_count samples in all: one bin holds them
+        ends, start = [filled.size - 1], int(n_cum[-1])
+    high = edges[filled[ends] + 1]
+    n_samples = np.diff(n_cum[ends], prepend=0)
+    accuracy = np.diff(h_cum[ends], prepend=0.0) / n_samples
+    if start < n_cum[-1]:  # an underpopulated tail joins the last merged bin
+        acc_n, acc_h = n_cum[-1] - start, h_cum[-1] - h_cum[ends[-1]]
+        pn, pa = n_samples[-1], accuracy[-1]
+        tot = pn + acc_n
+        high[-1], n_samples[-1], accuracy[-1] = edges[-1], tot, (pa * pn + acc_h) / tot
+    low = np.concatenate([edges[:1], high[:-1]])
+    return GapAccuracyCurve(bins=(low, high, n_samples, accuracy))
 
 
 def confidence_ranks(bundle: DatasetBundle, class_index: int) -> RankProfile:

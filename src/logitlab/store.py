@@ -48,6 +48,19 @@ def row_blocks(rows: int, cols: int) -> Iterator[slice]:
     return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=1), squaring one block of rows at a time."""
+    norms = np.empty(x.shape[0])
+    for b in row_blocks(*x.shape):
+        norms[b] = np.linalg.norm(x[b], axis=1)
+    return norms
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all() for a 2-D x, testing one block of rows at a time."""
+    return all(np.isfinite(x[b]).all() for b in row_blocks(*x.shape))
+
+
 def descending_order(values: np.ndarray) -> np.ndarray:
     """Indices that sort the last axis by descending value, ties by ascending index."""
     return np.argsort(-values, axis=-1, kind="stable")
@@ -72,7 +85,7 @@ def _checked(arr: np.ndarray) -> np.ndarray:
         raise ValidationError("logit matrix needs at least one row")
     if arr.shape[1] < 2:
         raise ValidationError("logit matrix needs at least two columns")
-    if not all(np.isfinite(arr[b]).all() for b in row_blocks(*arr.shape)):
+    if not all_finite(arr):
         r, c = _first_non_finite(arr)
         raise ValidationError(f"non-finite logit at row {r}, column {c}")
     return arr
@@ -104,7 +117,7 @@ class LogitMatrix:
     @cached_property
     def row_norms(self) -> np.ndarray:
         """Euclidean norm of each row (read-only), computed on first use."""
-        norms = np.linalg.norm(self.values, axis=1)
+        norms = row_norms(self.values)
         norms.setflags(write=False)
         return norms
 

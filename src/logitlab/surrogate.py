@@ -19,7 +19,6 @@ to move them onto the roots symmetric_stationary finds on the same ansatz.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +107,6 @@ def _closed_forms(beta, n_classes: int, case: str, branch: str):
     """The printed forms at a float or an array of beta: true-class and
     other-class coefficients, (f, f) or (g, psi); kappa (None if correct); the
     domain (off the poles by POLE_TOL, rad >= 0); and admissibility, beta > max(u)."""
-    if case == "misclassified" and n_classes == 3:
-        warnings.warn("n_classes=3 makes the N-3 factor vanish; result is degenerate")
     s = 1.0 if branch == "plus" else -1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.exp(-beta) * (n_classes - 1)
@@ -168,7 +165,9 @@ def misclassified_coeffs(
 
     This evaluates the published formulas. The resulting (g, psi) is not a
     stationary point of truncated_ce on the ansatz u_y = g, u = psi on the
-    other non-argmax classes; symmetric_stationary returns those.
+    other non-argmax classes; symmetric_stationary returns those. At N=3 the
+    N-3 factor of the forms vanishes, (N-3)e^-beta = 0, and the forms are
+    evaluated with it as they stand.
     """
     g, psi, kappa, _ = _closed_forms_at(beta, n_classes, "misclassified", branch)
     return float(g), float(kappa), float(psi)

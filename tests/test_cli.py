@@ -337,6 +337,12 @@ def test_cli_reproducible_responses(tmp_path):
      "n_data x (n_feats + n_classes) exceeds 67108864 values"),
     (["response", "--n-classes", "1000000000", "--beta-correct", "40", "--beta-wrong", "40"],
      4, "n_data x (n_feats + n_classes) exceeds 67108864 values"),
+    (["response", "--n-data", "50", "--n-feats", "40", "--c", "1e-200"], 4,
+     "cannot bracket lambda* for c = 1e-200: trace target 0.000e+00"),
+    (["response", "--n-data", "50", "--n-feats", "40", "--c", "1e-160"], 4,
+     "cannot bracket lambda* for c = 1e-160: trace target 4.000e-318"),
+    (["response", "--n-data", "50", "--n-feats", "40", "--c", "1e200"], 4,
+     "cannot bracket lambda* for c = 1e+200: trace target inf"),
     (["report", "--out", "{d}/csv_short_row"], 3, "b.csv: line 2 has 2 cells, the header has 3"),
     (["report", "--out", "{d}/csv_long_row"], 3, "b.csv: line 2 has 4 cells, the header has 3"),
     (["report", "--out", "{d}/csv_inf_count"], 3,
@@ -363,7 +369,9 @@ def test_cli_reproducible_responses(tmp_path):
         "stats_label_beyond_int64", "overlap_label_beyond_int64", "manipulate_label_beyond_int64",
         "text_header_beyond_memory", "text_header_beyond_int64", "analytic_surface_classes_cap",
         "analytic_threshold_classes_cap", "response_data_by_feats_cap",
-        "response_data_by_classes_cap", "report_short_row", "report_long_row",
+        "response_data_by_classes_cap", "response_c_zero_target",
+        "response_c_bracket_overflow", "response_c_squared_overflow", "report_short_row",
+        "report_long_row",
         "report_inf_count", "report_inf_value", "report_nan_coordinate", "report_huge_values",
         "report_huge_edges"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line

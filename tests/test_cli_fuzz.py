@@ -3,7 +3,7 @@
 the CLI ends with a documented exit code (0, 2, 3 or 4; never 3, an input
 error, for `analytic` and `response`, which read no file), a failure prints
 one stderr line and leaves --out as it was, and no exception escapes
-`cli.main`."""
+`cli.main`. Every test runs with warnings as errors."""
 
 import math
 import shutil
@@ -22,6 +22,11 @@ from logitlab.store import (
     store_labels,
     store_matrix,
 )
+
+# a warning would be a second stderr line, or a stray one on success; the
+# ignored one is raised by hypothesis itself while it reports a failure
+pytestmark = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 EXIT_CODES = {0, 2, 3, 4}
 ODD = [math.nan, math.inf, -math.inf, 0.0, -0.0]

@@ -8,8 +8,9 @@ allocations are bounded with ``tracemalloc``. So is the linear-response
 experiment, whose Omega diagonal is summed in the same blocks (its dense
 oracle is in test_response.py), the checks of its problem's inputs, the CSV
 writer, which formats one row at a time, the text reader, which parses
-one read of whole lines at a time, and report, which formats each SVG one
-block of rows at a time.
+one read of whole lines at a time, report, which formats each SVG one
+block of rows at a time, and stats, which hands its histograms to the writer
+as numpy columns.
 """
 
 import tracemalloc
@@ -24,7 +25,9 @@ from logitlab.store import (
     DatasetBundle,
     LabelVector,
     LogitMatrix,
+    RobustFlags,
     load_matrix,
+    store_flags,
     store_matrix,
 )
 from logitlab.surrogate import MeanFieldParams
@@ -274,6 +277,22 @@ def test_analytic_csv_holds_no_rows_as_python_objects(tmp_path):
     assert _peak_bytes(lambda: codes.append(cli.main(argv))) <= bound
     assert codes == [0]
     assert len((tmp_path / "loss_surface.csv").read_text().splitlines()) == rows + 1
+
+
+def test_stats_holds_no_histogram_bin_as_python_objects(tmp_path):
+    # 2000 x 10 at bin width 2e-5: 192k max-logit and 147k gap bins, the
+    # histograms' edge and count columns and the curve's bin counts (about
+    # 8 MiB); a tuple of Python objects per bin (over 40 MiB) would not fit
+    rng = np.random.default_rng(10)
+    store_matrix(LogitMatrix(rng.standard_normal((2000, 10))), tmp_path / "m.lgt", "binary")
+    store_flags(RobustFlags(rng.random(2000) > 0.5), tmp_path / "f.txt")
+    argv = ["stats", "--logits", str(tmp_path / "m.lgt"), "--flags", str(tmp_path / "f.txt"),
+            "--bin-width", "2e-5", "--min-count", "1", "--out", str(tmp_path / "out")]
+    codes = []
+    assert _peak_bytes(lambda: codes.append(cli.main(argv))) <= 16 * 2**20
+    assert codes == [0]
+    with open(tmp_path / "out" / "max_logit.csv") as f:
+        assert sum(1 for _ in f) > 180_000
 
 
 def test_report_holds_each_csv_once_as_floats(tmp_path):

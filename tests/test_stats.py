@@ -53,11 +53,11 @@ def test_two_pass_moment_oracle():
     assert summ.mean == pytest.approx(mu, abs=1e-12)
     assert summ.std == pytest.approx(np.sqrt(m2), abs=1e-12)
     assert summ.skewness == pytest.approx(adj, abs=1e-12)
-    assert sum(c for _, _, c in summ.histogram) == n
+    left, right, counts = summ.histogram
+    assert counts.sum() == n
     # bins contiguous ascending
-    for (l1, r1, _), (l2, r2, _) in zip(summ.histogram, summ.histogram[1:]):
-        assert r1 == pytest.approx(l2)
-        assert l1 < r1
+    np.testing.assert_allclose(right[:-1], left[1:])
+    assert (left < right).all()
 
 
 def test_skewness_needs_three_rows():
@@ -102,10 +102,10 @@ def test_all_flags_true():
     vals = rng.standard_normal((200, 5))
     b = _bundle(vals, np.zeros(200, dtype=int), np.ones(200, dtype=bool))
     curve = stats.gap_accuracy_curve(b, 0.25, 50)
-    assert curve.bins
-    for _, _, n, acc in curve.bins:
-        assert n >= 50
-        assert acc == 1.0
+    _, _, n, acc = curve.bins
+    assert n.size
+    assert (n >= 50).all()
+    assert (acc == 1.0).all()
 
 
 def test_step_rule_curve():
@@ -116,7 +116,7 @@ def test_step_rule_curve():
     flags = base > 1.0
     b = _bundle(vals, np.zeros(400, dtype=int), flags)
     curve = stats.gap_accuracy_curve(b, 0.25, 10)
-    for lo, hi, _, acc in curve.bins:
+    for lo, hi, _, acc in zip(*curve.bins):
         if hi <= 1.0:
             assert acc == 0.0
         elif lo >= 1.0:
@@ -131,10 +131,61 @@ def test_hand_binning_oracle():
     b = _bundle(vals, np.zeros(6, dtype=int), flags)
     curve = stats.gap_accuracy_curve(b, 0.5, 2)
     # bins of width 0.5: [0,.5)->3 samples 2 hits; [.5,1)->2 samples 1 hit; [1,1.5)->1 sample merged left
-    assert curve.bins[0] == (0.0, 0.5, 3, pytest.approx(2 / 3))
-    assert curve.bins[1][0] == 0.5
-    assert curve.bins[1][2] == 3  # trailing underpopulated bin merged
-    assert curve.bins[1][3] == pytest.approx(2 / 3)
+    low, high, n, acc = curve.bins
+    assert low.tolist() == [0.0, 0.5]
+    assert high[0] == 0.5
+    assert n.tolist() == [3, 3]  # trailing underpopulated bin merged
+    assert acc == pytest.approx([2 / 3, 2 / 3])
+
+
+def _ref_gap_accuracy_curve(gaps, flags, bin_width, min_count):
+    """The rows of the gap-accuracy curve, from a walk over every bin."""
+    n_bins = int(np.floor(gaps.max() / bin_width)) + 1
+    edges = bin_width * np.arange(n_bins + 1)
+    idx = np.minimum((gaps / bin_width).astype(int), n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins)
+    hits = np.bincount(idx, weights=flags.astype(np.float64), minlength=n_bins)
+    merged = []
+    acc_n, acc_h, lo = 0, 0.0, edges[0]
+    for b in range(n_bins):
+        acc_n += int(counts[b])
+        acc_h += float(hits[b])
+        if acc_n >= min_count:
+            merged.append((float(lo), float(edges[b + 1]), acc_n, acc_h / acc_n))
+            acc_n, acc_h, lo = 0, 0.0, edges[b + 1]
+    if acc_n > 0:
+        if merged:
+            plo, _, pn, pa = merged.pop()
+            tot = pn + acc_n
+            merged.append((plo, float(edges[-1]), tot, (pa * pn + acc_h) / tot))
+        else:
+            merged.append((float(lo), float(edges[-1]), acc_n, acc_h / acc_n))
+    return merged
+
+
+def test_trailing_bin_merges_through_the_last_accuracy():
+    # 49 gaps with one survivor close a bin, and one more gap trails; the merged
+    # accuracy reweights 1/49, whose product with 49 rounds below 1
+    vals = np.zeros((50, 2))
+    vals[:49, 0], vals[49, 0] = 0.1, 0.7
+    b = _bundle(vals, np.zeros(50, dtype=int), np.arange(50) == 0)
+    _, high, n, acc = stats.gap_accuracy_curve(b, 0.5, 49).bins
+    assert high.tolist() == [1.0] and n.tolist() == [50]
+    assert acc.tolist() == [(1 / 49 * 49) / 50] != [1 / 50]
+
+
+@pytest.mark.parametrize("bin_width", [0.01, 0.1, 0.25, 1.0, 10.0])
+@pytest.mark.parametrize("min_count", [1, 2, 7, 50, 400])
+def test_curve_matches_a_walk_over_every_bin(bin_width, min_count):
+    # rounded gaps leave most fine bins empty and make ties; the same rows, bit for bit
+    rng = np.random.default_rng(11)
+    vals = np.round(rng.standard_normal((300, 4)) * 2, 1)
+    flags = rng.random(300) > 0.4
+    b = _bundle(vals, np.zeros(300, dtype=int), flags)
+    got = stats.gap_accuracy_curve(b, bin_width, min_count).bins
+    assert [c.dtype.kind for c in got] == ["f", "f", "i", "f"]
+    want = _ref_gap_accuracy_curve(stats.logit_gaps(b.logits), flags, bin_width, min_count)
+    assert list(zip(*(c.tolist() for c in got))) == want  # float == is bit-exact here
 
 
 @pytest.mark.parametrize("bin_width", [1e-13, 1e-310, float("nan")])
@@ -164,7 +215,7 @@ def test_bin_width_below_float_spacing_is_refused(max_logits):
     values = np.column_stack([max_logits, np.zeros(4)])
     with pytest.raises(stats.StatsError, match="below the float spacing"):
         stats.max_logit_distribution(LogitMatrix(values), 1.0)
-    assert len(stats.max_logit_distribution(LogitMatrix(values), 64.0).histogram) >= 1
+    assert stats.max_logit_distribution(LogitMatrix(values), 64.0).histogram[2].sum() == 4
 
 
 @pytest.mark.parametrize("min_count", [0, -1])

@@ -78,9 +78,14 @@ def test_misclassified_poles():
         sg.misclassified_coeffs(math.log(9), 10)
 
 
-def test_n3_degenerate_warns():
-    with pytest.warns(UserWarning):
-        sg.misclassified_coeffs(5.0, 3)
+@pytest.mark.filterwarnings("error")
+def test_n3_misclassified_coeffs_are_the_forms_without_the_n3_factor():
+    # at N=3 the (N-3)e^-beta factor is 0: the forms hold as printed, silently
+    a = 2 * math.exp(-5.0)
+    kappa = (1 + a) * math.sqrt(1 + 2 * (1 - a) / (1 + a))
+    g = -(1 + kappa) / (1 - a)
+    psi = 2 * (math.exp(-5.0) / (1 - a) * g - (1 + a))
+    assert sg.misclassified_coeffs(5.0, 3) == pytest.approx((g, kappa, psi), rel=1e-14)
 
 
 # ---------- admissibility ----------
