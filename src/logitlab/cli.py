@@ -142,9 +142,8 @@ def _cmd_stats(args, outputs: _Outputs) -> None:
     gd = stats.gap_distribution(bundle.logits, args.bin_width)
     outputs.csv("gap_hist.csv", "bin_left,bin_right,count", *gd.histogram)
     if bundle.flags is not None:
-        curve = stats.gap_accuracy_curve(bundle, args.bin_width, args.min_count)
         outputs.csv("gap_accuracy.csv", "gap_low,gap_high,n_samples,adversarial_accuracy",
-                    *curve.bins)
+                    *stats.gap_accuracy_curve(bundle, args.bin_width, args.min_count))
 
 
 def _cmd_overlap(args, outputs: _Outputs) -> None:
@@ -228,7 +227,7 @@ def _cmd_mftma(args, outputs: _Outputs) -> None:
     result = mftma.mftma_capacity(mset, args.n_samples, args.kappa, args.seed)
     outputs.csv("mftma.csv", "alpha_mftma,radius,dimension,center_correlation,n_samples,seed",
                 [result.alpha_mftma], [result.radius], [result.dimension],
-                [result.center_correlation], [result.n_gaussian_samples], [result.seed])
+                [result.center_correlation], [args.n_samples], [args.seed])
     if args.empirical:
         cap = mftma.empirical_capacity(mset, args.n_dichotomies, args.seed)
         outputs.csv("empirical_capacity.csv", "alpha_empirical", [cap])
@@ -243,7 +242,6 @@ def build_parser() -> _Parser:
             p.add_argument("--logits", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=("text", "binary"), default="binary")
-        p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("stats", help="distributional statistics")
     common(p)
@@ -255,6 +253,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("overlap", help="average overlap of two logit matrices")
     common(p)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--logits2", required=True)
     p.add_argument("--labels")
     p.add_argument("--k", type=int, default=0)
@@ -262,8 +261,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("manipulate", help="distillation-target manipulations")
     common(p)
-    p.add_argument("--kind", required=True,
-                   choices=("fix_k_permute", "fix_k_average", "correct_fix_1", "hybrid"))
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--kind", required=True, choices=forge.KINDS)
     p.add_argument("--k", type=int)
     p.add_argument("--labels")
     p.add_argument("--index-source", dest="index_source")
@@ -298,6 +297,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("mftma", help="manifold capacity analysis")
     common(p, logits=False)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--manifolds", required=True,
                    help="text file listing one matrix file per manifold")
     p.add_argument("--n-samples", type=int, default=200, dest="n_samples")

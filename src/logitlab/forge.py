@@ -14,18 +14,21 @@ from typing import Optional
 import numpy as np
 
 from .rng import substream
-from .store import LabelVector, LogitMatrix, ValidationError, _adopt, row_blocks
+from .store import (
+    LabelVector, LogitMatrix, ValidationError, _adopt, row_blocks, validate_bundle,
+)
+
+KINDS = ("fix_k_permute", "fix_k_average", "correct_fix_1", "hybrid")
 
 
 @dataclass(frozen=True)
 class ManipulationSpec:
-    kind: str  # fix_k_permute | fix_k_average | correct_fix_1 | hybrid
+    kind: str  # one of KINDS
     k: Optional[int] = None
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        kinds = ("fix_k_permute", "fix_k_average", "correct_fix_1", "hybrid")
-        if self.kind not in kinds:
+        if self.kind not in KINDS:
             raise ValidationError(f"unknown manipulation kind {self.kind!r}")
         if self.kind.startswith("fix_k") and (self.k is None or self.k < 1):
             raise ValidationError("fix-k manipulations require k >= 1")
@@ -33,53 +36,45 @@ class ManipulationSpec:
             raise ValidationError("fix_k_permute requires a seed")
 
 
-def _check_k(m: LogitMatrix, k: int) -> None:
+def _rewrite_tail(m: LogitMatrix, k: int, rewrite) -> LogitMatrix:
+    """m with the values below each row's top k replaced by rewrite(b, rest),
+    one block b of rows at a time; rest holds the block's bottom values in
+    column order, one row per row of m."""
+    if k == m.cols:
+        return m
     if not (1 <= k <= m.cols):
         raise ValidationError(f"k must be in [1, {m.cols}], got {k}")
+    out = m.values.copy()
+    for b in row_blocks(m.rows, m.cols):
+        block, bottom = out[b], m.positions[b] >= k
+        block[bottom] = rewrite(b, block[bottom].reshape(-1, m.cols - k)).ravel()
+    return _adopt(out)
 
 
 def fix_k_permute(m: LogitMatrix, k: int, seed: int) -> LogitMatrix:
     """Keep each row's top-k values in place; permute the rest uniformly.
     Ties keep the lower class index in the top k."""
-    if k == m.cols:
-        return m
-    _check_k(m, k)
-    out = m.values.copy()
-    width = m.cols - k
-    for b in row_blocks(m.rows, m.cols):
-        block, bottom = out[b], m.positions[b] >= k
+
+    def permute(b: slice, rest: np.ndarray) -> np.ndarray:
         # row r's permutation depends only on (seed, r), as the rng contract fixes
-        perms = np.empty((b.stop - b.start, width), dtype=np.intp)
+        perms = np.empty(rest.shape, dtype=np.intp)
         for i, r in enumerate(range(b.start, b.stop)):
-            perms[i] = substream(seed, r).permutation(width)
-        rest = block[bottom].reshape(-1, width)  # in column order
-        block[bottom] = np.take_along_axis(rest, perms, axis=1).ravel()
-    return _adopt(out)
+            perms[i] = substream(seed, r).permutation(rest.shape[1])
+        return np.take_along_axis(rest, perms, axis=1)
+
+    return _rewrite_tail(m, k, permute)
 
 
 def fix_k_average(m: LogitMatrix, k: int) -> LogitMatrix:
     """Keep each row's top-k values; set the rest to their arithmetic mean.
     Ties keep the lower class index in the top k."""
-    if k == m.cols:
-        return m
-    _check_k(m, k)
-    out = m.values.copy()
-    for b in row_blocks(m.rows, m.cols):
-        block, bottom = out[b], m.positions[b] >= k
-        rest = block[bottom].reshape(-1, m.cols - k)
-        np.copyto(block, rest.mean(axis=1)[:, None], where=bottom)
-    return _adopt(out)
+    return _rewrite_tail(
+        m, k, lambda _, rest: np.broadcast_to(rest.mean(axis=1)[:, None], rest.shape))
 
 
 def correct_fix_1(m: LogitMatrix, labels: LabelVector) -> LogitMatrix:
     """Swap each misclassified row's argmax and true-class values."""
-    if len(labels) != m.rows:
-        raise ValidationError(
-            f"labels length mismatch: {len(labels)} labels for {m.rows} rows"
-        )
-    if labels.labels.size and labels.labels.max() >= m.cols:
-        i = int(np.argmax(labels.labels >= m.cols))
-        raise ValidationError(f"label out of range at index {i}")
+    validate_bundle(m, labels)
     out = m.values.copy()
     preds = np.argmax(out, axis=1)
     rows = np.flatnonzero(preds != labels.labels)

@@ -80,8 +80,6 @@ class MftmaResult:
     radius: float
     dimension: float
     center_correlation: float
-    n_gaussian_samples: int
-    seed: int
 
 
 INTERIOR = None  # sentinel anchor for draws with no active constraint
@@ -173,10 +171,15 @@ def mftma_capacity(
                 continue
             norm2 = float(s_tilde @ s_tilde)
             proj = float(np.append(t, t0) @ np.append(s_tilde, 1.0)) + kappa
-            inv_sum += max(proj, 0.0) ** 2 / (1.0 + norm2)
+            try:
+                inv_sum += max(proj, 0.0) ** 2 / (1.0 + norm2)
+            except OverflowError:  # kappa above about 1.3e154
+                inv_sum = math.inf
             r2.append(norm2)
             if norm2 > 0:
                 td2.append(float(t @ s_tilde) ** 2 / norm2)
+        if not math.isfinite(inv_sum):
+            raise MftmaError(f"kappa = {kappa:g} puts the capacity sum beyond float range")
         inv_alphas.append(inv_sum / n_samples)
         radii.append(np.sqrt(np.mean(r2)) if r2 else 0.0)
         dims.append(np.mean(td2) if td2 else 0.0)
@@ -188,8 +191,6 @@ def mftma_capacity(
         radius=float(np.mean(radii)),
         dimension=float(np.mean(dims)),
         center_correlation=center_correlation(mset),
-        n_gaussian_samples=n_samples,
-        seed=seed,
     )
 
 

@@ -27,13 +27,7 @@ import numpy as np
 from .rng import substream
 from .stats import logit_gaps, softmax
 from .store import LabelVector, LogitMatrix, all_finite, row_blocks, row_norms
-from .surrogate import (
-    GapShiftInput,
-    MeanFieldParams,
-    SurrogateSpec,
-    gap_shrinkage,
-    surrogate_logit,
-)
+from .surrogate import MeanFieldParams, SurrogateSpec, gap_shrinkage, surrogate_logit
 
 
 MAX_VALUES = 1 << 26  # gap_shift_experiment's X and Z together: 512 MiB of float64
@@ -230,10 +224,17 @@ def solve_lambda_star(problem: ResponseProblem) -> float:
     except OverflowError:  # c above about 1.3e154
         target = math.inf
     d = spec.d
+    try:
+        noise = problem.sigma0**2
+    except OverflowError:  # sigma0 above about 1.3e154
+        noise = math.inf
+    # Python floats: an overflow gives inf (refused) before numpy multiplies
+    if not math.isfinite(noise * float(d.max()) * d.size):
+        raise ResponseError(f"sigma0 = {problem.sigma0:g} puts the noise trace beyond float range")
     # trace(X R^2 X^T S) = sum_i (Xv_i)^T S (Xv_i) / (d_i - lam)^2 with
     # S = Z~Z~^T + sigma0^2 I and ||X v_i||^2 = d_i
     zxv = _xv_t(problem, z)
-    m = np.einsum("ij,ij->i", zxv, zxv) + problem.sigma0**2 * np.maximum(d, 0.0)
+    m = np.einsum("ij,ij->i", zxv, zxv) + noise * np.maximum(d, 0.0)
     m_sum = float(m.sum())  # a Python float: m_sum / target overflows to inf silently
     if not 0 < target < math.inf or not math.isfinite(m_sum / target):
         raise ResponseError(f"cannot bracket lambda* for c = {problem.c:g}: "
@@ -311,9 +312,7 @@ def jj_transpose(
     )
 
 
-def _attack(
-    sol: FyodorovSolution, problem: ResponseProblem
-) -> tuple[np.ndarray, np.ndarray]:
+def _attack(problem: ResponseProblem, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """For every sample, JJ^T_mu g_mu and zeta_mu.
 
     g_mu = softmax(z~^mu) - y^mu is the attack gradient and JJ^T_mu g_mu =
@@ -323,10 +322,10 @@ def _attack(
     """
     z = problem.Z_tilde
     g = softmax(z) - np.eye(z.shape[1])[problem.labels.labels]
-    b = _omega(problem, sol.lambda_star, z)      # row mu is b_mu
+    b = _omega(problem, lam, z)  # row mu is b_mu
     zg = np.einsum("ij,ij->i", z, g)
     jjg = (
-        (_omega_diag(problem, sol.lambda_star) * zg)[:, None] * z
+        (_omega_diag(problem, lam) * zg)[:, None] * z
         + g @ (z.T @ b)
         + np.einsum("ij,ij->i", b, g)[:, None] * z
         + zg[:, None] * b
@@ -347,7 +346,7 @@ def fgsm_logit_response(
     zeta_mu = 1/sqrt(g^T JJ^T g). Samples with zero attack gradient get a
     zero row.
     """
-    jjg, zeta = _attack(sol, problem)
+    jjg, zeta = _attack(problem, sol.lambda_star)
     return problem.epsilon * zeta[:, None] * jjg
 
 
@@ -359,7 +358,6 @@ def gap_shift_experiment(
     sigma0: float = 1e-3,
     c: float = 1.0,
     seed: int = 0,
-    branch: str = "plus",
 ) -> tuple[float, float, float]:
     """Synthetic end-to-end check of the gap-shrinkage prediction.
 
@@ -376,8 +374,8 @@ def gap_shift_experiment(
         raise ResponseError(f"n_data x (n_feats + n_classes) exceeds {MAX_VALUES} values")
     # gap_shrinkage reads both cases, so both betas are checked before any draw
     beta_w, g, psi = surrogate_logit(
-        SurrogateSpec(n, params.beta_wrong, "misclassified", branch), 1, 0)[:3]
-    beta_c, f = surrogate_logit(SurrogateSpec(n, params.beta_correct, "correct", branch), 0, 0)[:2]
+        SurrogateSpec(n, params.beta_wrong, "misclassified"), 1, 0)[:3]
+    beta_c, f = surrogate_logit(SurrogateSpec(n, params.beta_correct, "correct"), 0, 0)[:2]
     rng = substream(seed, 1)
     x = rng.standard_normal((n_data, n_feats))
     x /= row_norms(x)[:, None]
@@ -401,29 +399,35 @@ def gap_shift_experiment(
         X=x, Z_tilde=z, labels=LabelVector(labels),
         sigma0=sigma0, c=c, epsilon=epsilon, seed=seed,
     )
-    sol = fyodorov_omega(problem)
-    jjg, zeta = _attack(sol, problem)
-    dz = epsilon * zeta[:, None] * jjg
-
-    gaps_before = logit_gaps(LogitMatrix(z))
-    gaps_after = logit_gaps(LogitMatrix(z + dz))
-    change = gaps_after[correct_mask] - gaps_before[correct_mask]
-    measured_mean = float(change.mean()) if change.size else 0.0
-    measured_std = float(change.std()) if change.size else 0.0
+    lam = solve_lambda_star(problem)
+    jjg, zeta = _attack(problem, lam)
+    # a huge epsilon overflows the attacked logits or their measurement; both
+    # are refused below, so numpy need not warn of the overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        attacked = z + epsilon * zeta[:, None] * jjg
+        if not all_finite(attacked):
+            raise ResponseError(
+                f"epsilon = {epsilon:g} puts the attacked logits beyond float range")
+        gaps_before = logit_gaps(LogitMatrix(z))
+        gaps_after = logit_gaps(LogitMatrix(attacked))
+        change = gaps_after[correct_mask] - gaps_before[correct_mask]
+        measured_mean = float(change.mean()) if change.size else 0.0
+        measured_std = float(change.std()) if change.size else 0.0
+    if not (math.isfinite(measured_mean) and math.isfinite(measured_std)):
+        raise ResponseError(
+            f"epsilon = {epsilon:g} puts the measured gap change beyond float range")
 
     # Omega aggregation: row-mu sums of Omega(X, lambda*) over correctly and
     # incorrectly labeled nu, scaled by epsilon*zeta_mu and averaged over mu.
     sum_correct, sum_wrong = _omega(
-        problem, sol.lambda_star, np.column_stack([correct_mask, wrong]).astype(np.float64)
+        problem, lam, np.column_stack([correct_mask, wrong]).astype(np.float64)
     ).T
     eps_err = params.error_rate
     w_c = epsilon * np.mean(zeta * sum_correct)
     w_w = epsilon * np.mean(zeta * sum_wrong)
     omega_correct = max(w_c / (1.0 - eps_err), 0.0) if eps_err < 1.0 else 0.0
     omega_wrong = max(w_w / eps_err, 0.0) if eps_err > 0.0 else 0.0
-    predicted = gap_shrinkage(
-        GapShiftInput(params, epsilon, omega_correct, omega_wrong), branch
-    )
+    predicted = gap_shrinkage(params, omega_correct, omega_wrong)
     if epsilon == 0.0:
         predicted = 0.0
     return predicted, measured_mean, measured_std

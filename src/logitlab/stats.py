@@ -35,13 +35,7 @@ class DistributionSummary:
 
 
 @dataclass(frozen=True)
-class GapAccuracyCurve:
-    bins: tuple  # columns (gap_low, gap_high, n_samples, adversarial_accuracy)
-
-
-@dataclass(frozen=True)
 class RankProfile:
-    class_index: int
     sample_ids: np.ndarray
     ranks: np.ndarray
 
@@ -134,8 +128,9 @@ def gap_distribution(m: LogitMatrix, bin_width: float) -> DistributionSummary:
 
 def gap_accuracy_curve(
     bundle: DatasetBundle, bin_width: float = 0.25, min_count: int = 50
-) -> GapAccuracyCurve:
-    """Fraction of attack-surviving samples per logit-gap bin.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fraction of attack-surviving samples per logit-gap bin, as the columns
+    (gap_low, gap_high, n_samples, adversarial_accuracy).
 
     Bins with fewer than min_count samples are merged into their right
     neighbor; a trailing underpopulated bin stays merged with the last
@@ -176,7 +171,7 @@ def gap_accuracy_curve(
         tot = pn + acc_n
         high[-1], n_samples[-1], accuracy[-1] = edges[-1], tot, (pa * pn + acc_h) / tot
     low = np.concatenate([edges[:1], high[:-1]])
-    return GapAccuracyCurve(bins=(low, high, n_samples, accuracy))
+    return low, high, n_samples, accuracy
 
 
 def confidence_ranks(bundle: DatasetBundle, class_index: int) -> RankProfile:
@@ -194,7 +189,7 @@ def confidence_ranks(bundle: DatasetBundle, class_index: int) -> RankProfile:
     order = descending_order(conf)
     ranks = np.empty(ids.size, dtype=np.int64)
     ranks[order] = np.arange(ids.size)
-    return RankProfile(class_index=class_index, sample_ids=ids, ranks=ranks)
+    return RankProfile(sample_ids=ids, ranks=ranks)
 
 
 def rank_divergence(a: RankProfile, b: RankProfile, threshold_fraction: float) -> float:

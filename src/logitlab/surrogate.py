@@ -74,18 +74,6 @@ class MeanFieldParams:
         _check_error_rate(self.error_rate)
 
 
-@dataclass(frozen=True)
-class GapShiftInput:
-    params: MeanFieldParams
-    epsilon: float
-    omega_correct: float
-    omega_wrong: float
-
-    def __post_init__(self) -> None:
-        if self.omega_correct < 0 or self.omega_wrong < 0:
-            raise SurrogateError("omega coefficients must be nonnegative")
-
-
 def _pole_hits(beta, n_classes: int, case: str) -> list[tuple[np.ndarray, str]]:
     """(beta within POLE_TOL of it, its name) for each pole of the forms."""
     poles = [(n_classes - 1, "ln(N-1)")] if n_classes >= 2 else []
@@ -108,7 +96,7 @@ def _closed_forms(beta, n_classes: int, case: str, branch: str):
     other-class coefficients, (f, f) or (g, psi); kappa (None if correct); the
     domain (off the poles by POLE_TOL, rad >= 0); and admissibility, beta > max(u)."""
     s = 1.0 if branch == "plus" else -1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.exp(-beta) * (n_classes - 1)
         if case == "correct":
             # float_power calls libm pow, as float ** 2 does (an array's ** 2 multiplies)
@@ -459,21 +447,25 @@ def mean_field_loss_surface(
     return (1.0 - error_rate) * loss_c[:, None] + error_rate * loss_w[None, :]
 
 
-def _shrinkage(gap_c, gap_w, split_w, n: int, eps: float, omega_c: float, omega_w: float):
+def _shrinkage(gap_c, gap_w, split_w, n: int, error_rate: float, omega_c: float,
+               omega_w: float):
     """Gap shrinkage from beta - f, beta - g and g - psi; float_power is float ** 2."""
-    quad = ((1.0 - eps) * omega_c * np.float_power(gap_c, 2)
-            + eps * omega_w * np.float_power(gap_w, 2))
-    cross = 2.0 * (n - 2) / (n - 1) * eps * omega_w * gap_w * split_w
+    quad = ((1.0 - error_rate) * omega_c * np.float_power(gap_c, 2)
+            + error_rate * omega_w * np.float_power(gap_w, 2))
+    cross = 2.0 * (n - 2) / (n - 1) * error_rate * omega_w * gap_w * split_w
     return -quad - cross
 
 
-def gap_shrinkage(inp: GapShiftInput, branch: str = "plus") -> float:
+def gap_shrinkage(
+    params: MeanFieldParams, omega_correct: float, omega_wrong: float, branch: str = "plus"
+) -> float:
     """First-order change of the correct-sample logit gap under an attack."""
-    p = inp.params
-    f = f_pm(p.beta_correct, p.n_classes, branch)
-    g, _, psi = misclassified_coeffs(p.beta_wrong, p.n_classes, branch)
-    return float(_shrinkage(p.beta_correct - f, p.beta_wrong - g, g - psi, p.n_classes,
-                            p.error_rate, inp.omega_correct, inp.omega_wrong))
+    if omega_correct < 0 or omega_wrong < 0:
+        raise SurrogateError("omega coefficients must be nonnegative")
+    f = f_pm(params.beta_correct, params.n_classes, branch)
+    g, _, psi = misclassified_coeffs(params.beta_wrong, params.n_classes, branch)
+    return float(_shrinkage(params.beta_correct - f, params.beta_wrong - g, g - psi,
+                            params.n_classes, params.error_rate, omega_correct, omega_wrong))
 
 
 def gap_shrinkage_surface(

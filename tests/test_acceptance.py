@@ -265,9 +265,7 @@ def test_criterion_04_gap_shrinkage_sign_and_scaling():
     for bc in betas_c:
         for bw in betas_w:
             params = surrogate.MeanFieldParams(bc, bw, n_classes, 0.2)
-            val = surrogate.gap_shrinkage(
-                surrogate.GapShiftInput(params, eps, 1.0, 1.0), "plus"
-            )
+            val = surrogate.gap_shrinkage(params, 1.0, 1.0, "plus")
             max_val = max(max_val, val)
     sign_ok = max_val <= 0.0
 

@@ -139,6 +139,18 @@ def test_analytic_matches_module(tmp_path):
             assert v == surf[i, j]
 
 
+@pytest.mark.filterwarnings("error")
+def test_analytic_far_below_the_poles_is_nan_without_warnings(tmp_path, capsys):
+    # exp(-beta) overflows at beta = -800; those cells are NaN, and nothing reaches stderr
+    out = tmp_path / "an"
+    assert _run("analytic", "--surface", "--shrinkage", "--beta-min", "-800",
+                "--beta-max", "-790", "--beta-step", "5", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("loss_surface.csv", "gap_shrinkage.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert len(rows) == 9 and all(r.endswith(",nan") for r in rows)
+
+
 def test_response_subcommand(tmp_path):
     out = tmp_path / "resp"
     code = _run("response", "--n-data", "60", "--n-feats", "30", "--epsilon", "0.1",
@@ -343,6 +355,19 @@ def test_cli_reproducible_responses(tmp_path):
      "cannot bracket lambda* for c = 1e-160: trace target 4.000e-318"),
     (["response", "--n-data", "50", "--n-feats", "40", "--c", "1e200"], 4,
      "cannot bracket lambda* for c = 1e+200: trace target inf"),
+    (["response", "--sigma0", "1e160"], 4,
+     "sigma0 = 1e+160 puts the noise trace beyond float range"),
+    (["response", "--sigma0", "1e154"], 4,
+     "sigma0 = 1e+154 puts the noise trace beyond float range"),
+    (["response", "--epsilon", "1e200"], 4,
+     "epsilon = 1e+200 puts the measured gap change beyond float range"),
+    (["response", "--epsilon", "1e308"], 4,
+     "epsilon = 1e+308 puts the attacked logits beyond float range"),
+    (["response", "--beta-correct", "-800"], 4,
+     "beta=-800.0 is inadmissible for case=correct, branch=plus, N=10"),
+    (["mftma", "--manifolds", "{d}/manifolds.txt", "--n-samples", "5", "--kappa", "1e155"], 4,
+     "kappa = 1e+155 puts the capacity sum beyond float range"),
+    (["stats", "--logits", "{d}/m.lgt", "--seed", "1"], 2, "unrecognized arguments"),
     (["report", "--out", "{d}/csv_short_row"], 3, "b.csv: line 2 has 2 cells, the header has 3"),
     (["report", "--out", "{d}/csv_long_row"], 3, "b.csv: line 2 has 4 cells, the header has 3"),
     (["report", "--out", "{d}/csv_inf_count"], 3,
@@ -370,7 +395,11 @@ def test_cli_reproducible_responses(tmp_path):
         "text_header_beyond_memory", "text_header_beyond_int64", "analytic_surface_classes_cap",
         "analytic_threshold_classes_cap", "response_data_by_feats_cap",
         "response_data_by_classes_cap", "response_c_zero_target",
-        "response_c_bracket_overflow", "response_c_squared_overflow", "report_short_row",
+        "response_c_bracket_overflow", "response_c_squared_overflow",
+        "response_sigma0_squared_overflow", "response_sigma0_noise_overflow",
+        "response_epsilon_std_overflow", "response_epsilon_logit_overflow",
+        "response_beta_correct_far_below_the_poles", "mftma_kappa_overflow",
+        "stats_seed_removed", "report_short_row",
         "report_long_row",
         "report_inf_count", "report_inf_value", "report_nan_coordinate", "report_huge_values",
         "report_huge_edges"])

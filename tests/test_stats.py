@@ -101,8 +101,7 @@ def test_all_flags_true():
     rng = np.random.default_rng(0)
     vals = rng.standard_normal((200, 5))
     b = _bundle(vals, np.zeros(200, dtype=int), np.ones(200, dtype=bool))
-    curve = stats.gap_accuracy_curve(b, 0.25, 50)
-    _, _, n, acc = curve.bins
+    _, _, n, acc = stats.gap_accuracy_curve(b, 0.25, 50)
     assert n.size
     assert (n >= 50).all()
     assert (acc == 1.0).all()
@@ -115,8 +114,7 @@ def test_step_rule_curve():
     vals[:, 0] = base
     flags = base > 1.0
     b = _bundle(vals, np.zeros(400, dtype=int), flags)
-    curve = stats.gap_accuracy_curve(b, 0.25, 10)
-    for lo, hi, _, acc in zip(*curve.bins):
+    for lo, hi, _, acc in zip(*stats.gap_accuracy_curve(b, 0.25, 10)):
         if hi <= 1.0:
             assert acc == 0.0
         elif lo >= 1.0:
@@ -129,9 +127,8 @@ def test_hand_binning_oracle():
     vals[:, 0] = gaps_src
     flags = np.array([1, 0, 1, 1, 0, 1], dtype=bool)
     b = _bundle(vals, np.zeros(6, dtype=int), flags)
-    curve = stats.gap_accuracy_curve(b, 0.5, 2)
+    low, high, n, acc = stats.gap_accuracy_curve(b, 0.5, 2)
     # bins of width 0.5: [0,.5)->3 samples 2 hits; [.5,1)->2 samples 1 hit; [1,1.5)->1 sample merged left
-    low, high, n, acc = curve.bins
     assert low.tolist() == [0.0, 0.5]
     assert high[0] == 0.5
     assert n.tolist() == [3, 3]  # trailing underpopulated bin merged
@@ -169,7 +166,7 @@ def test_trailing_bin_merges_through_the_last_accuracy():
     vals = np.zeros((50, 2))
     vals[:49, 0], vals[49, 0] = 0.1, 0.7
     b = _bundle(vals, np.zeros(50, dtype=int), np.arange(50) == 0)
-    _, high, n, acc = stats.gap_accuracy_curve(b, 0.5, 49).bins
+    _, high, n, acc = stats.gap_accuracy_curve(b, 0.5, 49)
     assert high.tolist() == [1.0] and n.tolist() == [50]
     assert acc.tolist() == [(1 / 49 * 49) / 50] != [1 / 50]
 
@@ -182,7 +179,7 @@ def test_curve_matches_a_walk_over_every_bin(bin_width, min_count):
     vals = np.round(rng.standard_normal((300, 4)) * 2, 1)
     flags = rng.random(300) > 0.4
     b = _bundle(vals, np.zeros(300, dtype=int), flags)
-    got = stats.gap_accuracy_curve(b, bin_width, min_count).bins
+    got = stats.gap_accuracy_curve(b, bin_width, min_count)
     assert [c.dtype.kind for c in got] == ["f", "f", "i", "f"]
     want = _ref_gap_accuracy_curve(stats.logit_gaps(b.logits), flags, bin_width, min_count)
     assert list(zip(*(c.tolist() for c in got))) == want  # float == is bit-exact here
@@ -271,7 +268,7 @@ def test_rank_divergence_identity_and_reversal():
     b = _bundle(vals, np.zeros(11, dtype=int))
     a = stats.confidence_ranks(b, 0)
     assert stats.rank_divergence(a, a, 0.5) == 0.0
-    rev = stats.RankProfile(0, a.sample_ids, (10 - a.ranks))
+    rev = stats.RankProfile(a.sample_ids, (10 - a.ranks))
     # |i - (10 - i)| > 5 for i in {0,1,2,8,9,10}
     assert stats.rank_divergence(a, rev, 0.5) == pytest.approx(6 / 11)
 

@@ -355,11 +355,11 @@ def _params(bc=5.0, bw=5.0, n=10, eps=0.2):
 
 
 def test_shrinkage_zero_at_zero_omegas():
-    assert sg.gap_shrinkage(sg.GapShiftInput(_params(), 0.0, 0.0, 0.0)) == 0.0
+    assert sg.gap_shrinkage(_params(), 0.0, 0.0) == 0.0
 
 
 def test_shrinkage_negative_at_admissible_point():
-    val = sg.gap_shrinkage(sg.GapShiftInput(_params(), 0.1, 1.0, 1.0))
+    val = sg.gap_shrinkage(_params(), 1.0, 1.0)
     assert val < 0
 
 
@@ -372,22 +372,24 @@ def test_shrinkage_quadratic_scaling_of_first_term():
     gap = lambda b: b - sg.f_pm(b, n, "plus")
     b1 = 4.0
     b2 = brentq(lambda b: gap(b) - 2 * gap(b1), 5.0, 12.0, xtol=1e-14)
-    v1 = sg.gap_shrinkage(sg.GapShiftInput(_params(bc=b1), 0.1, 1.0, 0.0))
-    v2 = sg.gap_shrinkage(sg.GapShiftInput(_params(bc=b2), 0.1, 1.0, 0.0))
+    v1 = sg.gap_shrinkage(_params(bc=b1), 1.0, 0.0)
+    v2 = sg.gap_shrinkage(_params(bc=b2), 1.0, 0.0)
     assert v2 / v1 == pytest.approx(4.0, rel=1e-10)
 
 
 def test_shrinkage_magnitude_monotone_in_gaps():
-    base = abs(sg.gap_shrinkage(sg.GapShiftInput(_params(bc=4.0, bw=4.0), 0.1, 1.0, 1.0)))
-    bigger_c = abs(sg.gap_shrinkage(sg.GapShiftInput(_params(bc=6.0, bw=4.0), 0.1, 1.0, 1.0)))
-    bigger_w = abs(sg.gap_shrinkage(sg.GapShiftInput(_params(bc=4.0, bw=6.0), 0.1, 1.0, 1.0)))
+    base = abs(sg.gap_shrinkage(_params(bc=4.0, bw=4.0), 1.0, 1.0))
+    bigger_c = abs(sg.gap_shrinkage(_params(bc=6.0, bw=4.0), 1.0, 1.0))
+    bigger_w = abs(sg.gap_shrinkage(_params(bc=4.0, bw=6.0), 1.0, 1.0))
     assert bigger_c > base
     assert bigger_w > base
 
 
-def test_gap_shift_input_validation():
-    with pytest.raises(sg.SurrogateError):
-        sg.GapShiftInput(_params(), 0.1, -1.0, 0.0)
+def test_gap_shrinkage_validation():
+    with pytest.raises(sg.SurrogateError, match="omega coefficients must be nonnegative"):
+        sg.gap_shrinkage(_params(), -1.0, 0.0)
+    with pytest.raises(sg.SurrogateError, match="omega coefficients must be nonnegative"):
+        sg.gap_shrinkage(_params(), 0.0, -1.0)
     with pytest.raises(sg.SurrogateError):
         sg.MeanFieldParams(5.0, 5.0, 10, 1.5)
 
@@ -441,7 +443,7 @@ def test_grid_evaluators_match_per_beta_reference(n, branch):
                 continue
             assert surf[i, j] == (1.0 - er) * loss_c[i] + er * loss_w[j]
             params = sg.MeanFieldParams(float(bc), float(bw), n, er)
-            assert shrink[i, j] == sg.gap_shrinkage(sg.GapShiftInput(params, 0.0, 1.0, 1.0), branch)
+            assert shrink[i, j] == sg.gap_shrinkage(params, 1.0, 1.0, branch)
 
 
 def test_grid_evaluators_validate_their_arguments():
@@ -470,4 +472,4 @@ def test_shrinkage_surface_matches_scalar_on_dense_slices():
                 assert math.isnan(v)
                 continue
             params = sg.MeanFieldParams(*betas(b), n, er)
-            assert v == sg.gap_shrinkage(sg.GapShiftInput(params, 0.0, 1.0, 1.0))
+            assert v == sg.gap_shrinkage(params, 1.0, 1.0)
