@@ -26,7 +26,7 @@ import numpy as np
 
 from .rng import substream
 from .stats import logit_gaps, softmax
-from .store import LabelVector, LogitMatrix, all_finite, row_blocks, row_norms
+from .store import LabelVector, LogitMatrix, first_non_finite, row_blocks, row_norms
 from .surrogate import MeanFieldParams, SurrogateSpec, gap_shrinkage, surrogate_logit
 
 
@@ -141,7 +141,7 @@ class ResponseProblem:
         z = np.asarray(self.Z_tilde, dtype=np.float64)
         if x.ndim != 2 or z.ndim != 2 or x.shape[0] != z.shape[0] or 0 in x.shape + z.shape:
             raise ResponseError("X and Z_tilde must be non-empty and share the data dimension")
-        if not (all_finite(x) and all_finite(z)):
+        if first_non_finite(x) is not None or first_non_finite(z) is not None:
             raise ResponseError("non-finite entries in problem matrices")
         norms = row_norms(x)
         if np.abs(norms - 1.0).max() > 1e-12:
@@ -241,17 +241,18 @@ def solve_lambda_star(problem: ResponseProblem) -> float:
                             f"trace target {target:.3e}, data scale {m_sum:.3e}")
 
     def trace(lam: float) -> np.float64:
-        return np.sum(m / (d - lam) ** 2)
+        with np.errstate(over="ignore"):  # an infinite trace lies above any target
+            return np.sum(m / (d - lam) ** 2)
 
     def trace_gap(lam: float) -> float:
         return float(trace(lam) - target)
 
     # a wide X leaves X^T X with zero eigenvalues outside d
     hi = (0.0 if spec.wide else d.min()) - 1e-8
-    # for lam <= lo every d_i - lam >= sqrt(sum(m) / target), so the trace
-    # there is at most the target; -1e6 stays the end wherever that bound
-    # lies above it
-    lo = min(-1e6, min(d.min(), hi) - math.sqrt(m_sum / target))
+    # for lam <= lo every d_i - lam >= 2 sqrt(sum(m) / target), so the trace
+    # there is at most a quarter of the target, below it after rounding too;
+    # -1e6 stays the end wherever that bound lies above it
+    lo = min(-1e6, min(d.min(), hi) - 2.0 * math.sqrt(m_sum / target))
     f_lo, f_hi = trace_gap(lo), trace_gap(hi)
     if f_lo > 0 or f_hi < 0:
         raise ResponseError(
@@ -296,20 +297,9 @@ def jacobian_block(
 def jj_transpose(
     sol: FyodorovSolution, problem: ResponseProblem, mu: int
 ) -> np.ndarray:
-    """Gram matrix Jac^mu (Jac^mu)^T via the four-term closed form."""
-    z = problem.Z_tilde
-    _check_sample(problem, mu)
-    e_mu = np.zeros((z.shape[0], 1))
-    e_mu[mu] = 1.0
-    om = _omega(problem, sol.lambda_star, np.hstack([e_mu, z]))
-    b_mu = z.T @ om[:, 0]              # Z~^T Omega[:, mu]
-    zm = z[mu]
-    return (
-        om[mu, 0] * np.outer(zm, zm)
-        + z.T @ om[:, 1:]
-        + np.outer(zm, b_mu)
-        + np.outer(b_mu, zm)
-    )
+    """Gram matrix Jac^mu (Jac^mu)^T of the mu-th sample's Jacobian."""
+    jac = jacobian_block(sol, problem, mu)
+    return jac @ jac.T
 
 
 def _attack(problem: ResponseProblem, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -405,7 +395,7 @@ def gap_shift_experiment(
     # are refused below, so numpy need not warn of the overflow
     with np.errstate(over="ignore", invalid="ignore"):
         attacked = z + epsilon * zeta[:, None] * jjg
-        if not all_finite(attacked):
+        if first_non_finite(attacked) is not None:
             raise ResponseError(
                 f"epsilon = {epsilon:g} puts the attacked logits beyond float range")
         gaps_before = logit_gaps(LogitMatrix(z))

@@ -185,10 +185,9 @@ def confidence_ranks(bundle: DatasetBundle, class_index: int) -> RankProfile:
         raise StatsError(f"class {class_index} has no samples")
     probs = softmax(bundle.logits.values[ids])
     conf = probs.max(axis=1)
-    # ids ascend, so ties in confidence keep ascending sample id
-    order = descending_order(conf)
-    ranks = np.empty(ids.size, dtype=np.int64)
-    ranks[order] = np.arange(ids.size)
+    # ids ascend, so ties in confidence keep ascending sample id; int64, as
+    # rank_divergence subtracts ranks and an unsigned dtype would wrap
+    ranks = class_positions(conf[None])[0].astype(np.int64)
     return RankProfile(sample_ids=ids, ranks=ranks)
 
 

@@ -44,7 +44,7 @@ class ValidationError(StoreError):
 
 def row_blocks(rows: int, cols: int) -> Iterator[slice]:
     """Slices of consecutive rows holding about BLOCK_VALUES values each."""
-    step = max(1, BLOCK_VALUES // cols)
+    step = max(1, BLOCK_VALUES // max(cols, 1))
     return (slice(i, min(i + step, rows)) for i in range(0, rows, step))
 
 
@@ -56,9 +56,13 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return norms
 
 
-def all_finite(x: np.ndarray) -> bool:
-    """np.isfinite(x).all() for a 2-D x, testing one block of rows at a time."""
-    return all(np.isfinite(x[b]).all() for b in row_blocks(*x.shape))
+def first_non_finite(x: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, column) of the first non-finite value of a 2-D x in row-major
+    order, or None if every value is finite; tests one block of rows at a time."""
+    for b in row_blocks(*x.shape):
+        if not (finite := np.isfinite(x[b])).all():
+            return divmod(b.start * x.shape[1] + int(np.argmin(finite)), x.shape[1])
+    return None
 
 
 def descending_order(values: np.ndarray) -> np.ndarray:
@@ -85,14 +89,10 @@ def _checked(arr: np.ndarray) -> np.ndarray:
         raise ValidationError("logit matrix needs at least one row")
     if arr.shape[1] < 2:
         raise ValidationError("logit matrix needs at least two columns")
-    if not all_finite(arr):
-        r, c = _first_non_finite(arr)
-        raise ValidationError(f"non-finite logit at row {r}, column {c}")
+    bad = first_non_finite(arr)
+    if bad is not None:
+        raise ValidationError("non-finite logit at row %d, column %d" % bad)
     return arr
-
-
-def _first_non_finite(arr: np.ndarray) -> tuple:
-    return tuple(np.argwhere(~np.isfinite(arr))[0])
 
 
 @dataclass(frozen=True)
@@ -272,10 +272,16 @@ def _load_binary(path: Path) -> LogitMatrix:
         )
     try:
         return _adopt(vals.astype(np.float64, copy=False))
-    except ValidationError:
-        if np.isfinite(vals).all():
-            raise
-        r, c = _first_non_finite(vals)
+    except ValidationError:  # a non-finite value is named before a shape error
+        _refuse_non_finite(path, vals)
+        raise
+
+
+def _refuse_non_finite(path: Path, vals: np.ndarray) -> None:
+    """ParseError naming the first non-finite value of vals, if it has one."""
+    bad = first_non_finite(vals)
+    if bad is not None:
+        r, c = bad
         raise ParseError(f"{path}: non-finite value at row {r}, column {c}") from None
 
 
@@ -343,10 +349,8 @@ def _load_text(path: Path) -> LogitMatrix:
             raise ParseError(f"{path}: header promises {rows} rows, found {n}")
         return _adopt(vals)
     except StoreError:  # a non-finite value earlier in row-major order comes first
-        if np.isfinite(vals[:n + 1]).all():
-            raise
-        r, c = _first_non_finite(vals[:n + 1])
-        raise ParseError(f"{path}: non-finite value at row {r}, column {c}") from None
+        _refuse_non_finite(path, vals[:n + 1])
+        raise
 
 
 def store_labels(labels: LabelVector, path: str | Path) -> None:

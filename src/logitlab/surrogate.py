@@ -459,13 +459,18 @@ def _shrinkage(gap_c, gap_w, split_w, n: int, error_rate: float, omega_c: float,
 def gap_shrinkage(
     params: MeanFieldParams, omega_correct: float, omega_wrong: float, branch: str = "plus"
 ) -> float:
-    """First-order change of the correct-sample logit gap under an attack."""
+    """First-order change of the correct-sample logit gap under an attack:
+    gap_shrinkage_surface's cell at these omegas, refused where it is NaN."""
     if omega_correct < 0 or omega_wrong < 0:
         raise SurrogateError("omega coefficients must be nonnegative")
-    f = f_pm(params.beta_correct, params.n_classes, branch)
-    g, _, psi = misclassified_coeffs(params.beta_wrong, params.n_classes, branch)
-    return float(_shrinkage(params.beta_correct - f, params.beta_wrong - g, g - psi,
-                            params.n_classes, params.error_rate, omega_correct, omega_wrong))
+    p = params
+    bc, f, bw, g, psi = _grid_forms(p.beta_correct, p.beta_wrong, p.n_classes, p.error_rate,
+                                    branch)
+    for beta, case, coeff in ((p.beta_correct, "correct", f), (p.beta_wrong, "misclassified", g)):
+        if np.isnan(coeff):  # surrogate_logit names the pole, or that beta is inadmissible
+            surrogate_logit(SurrogateSpec(p.n_classes, beta, case, branch), case != "correct", 0)
+    return float(_shrinkage(bc - f, bw - g, g - psi, p.n_classes, p.error_rate,
+                            omega_correct, omega_wrong))
 
 
 def gap_shrinkage_surface(

@@ -162,6 +162,18 @@ def test_response_subcommand(tmp_path):
     assert mean < 0
 
 
+@pytest.mark.parametrize("sigma0", ["1e60", "1e100", "1e150", "1e152"])
+@pytest.mark.filterwarnings("error")  # a warning would be a stray stderr line
+def test_response_solves_lambda_star_at_huge_sigma0(tmp_path, capsys, sigma0):
+    # the bracket's lower end keeps the trace below the target after rounding,
+    # and a trace that overflows near the upper end lies above it
+    out = tmp_path / "resp"
+    assert _run("response", "--sigma0", sigma0, "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    line = (out / "gap_shift.csv").read_text().splitlines()[1]
+    assert np.isfinite([float(t) for t in line.split(",")]).all()
+
+
 def test_mftma_subcommand(tmp_path):
     rng = np.random.default_rng(1)
     names = []

@@ -109,7 +109,7 @@ def _check_exit(argv, capsys, codes=EXIT_CODES):
     beta_correct=_floats(-2.0, 12.0, [math.log(9), -800.0]),
     beta_wrong=_floats(-2.0, 12.0, [math.log(9), math.log(7)]),
     error_rate=_floats(-0.5, 1.5, [1.0]), epsilon=_floats(-1.0, 1.0, [1e200, 1e308]),
-    sigma0=_floats(-1.0, 1.0, [1e154, 1e160]), c=_floats(-1.0, 2.0), seed=st.integers(0, 3),
+    sigma0=_floats(-1.0, 1.0, [1e60, 1e100, 1e150, 1e154, 1e160]), c=_floats(-1.0, 2.0), seed=st.integers(0, 3),
 )
 def test_response_exit_codes(tmp_path, capsys, n_data, n_feats, n_classes, beta_correct,
                              beta_wrong, error_rate, epsilon, sigma0, c, seed):

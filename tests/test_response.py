@@ -250,13 +250,24 @@ def test_jacobian_finite_difference_oracle():
         assert rel < 1e-5
 
 
+def _dense_omega(p, lam):
+    """Omega = X R^2 X^T = T^T T with T = R X^T, R symmetric, from a dense solve."""
+    t = np.linalg.solve(p.X.T @ p.X - lam * np.eye(p.X.shape[1]), p.X.T)
+    return t.T @ t
+
+
 def test_jj_transpose_product_symmetry_psd():
+    # JJ^T_mu = Omega_mumu z z^T + Z~^T Omega Z~ + z b^T + b z^T with
+    # b = Z~^T Omega[:, mu], the form _attack applies to every sample at once
     p = _problem()
     sol = rp.fyodorov_omega(p)
+    omega, z = _dense_omega(p, sol.lambda_star), p.Z_tilde
     for mu in range(5):
-        jac = rp.jacobian_block(sol, p, mu)
+        b = z.T @ omega[:, mu]
+        expect = (omega[mu, mu] * np.outer(z[mu], z[mu]) + z.T @ omega @ z
+                  + np.outer(z[mu], b) + np.outer(b, z[mu]))
         jj = rp.jj_transpose(sol, p, mu)
-        assert np.abs(jj - jac @ jac.T).max() < 1e-10
+        assert np.abs(jj - expect).max() < 1e-10
         assert np.abs(jj - jj.T).max() < 1e-12
         assert np.linalg.eigvalsh(jj).min() >= -1e-10
 
@@ -309,10 +320,8 @@ def test_fgsm_rows_match_dense_omega_on_several_row_blocks():
     p = _problem(n_data=n_data, n_feats=n_feats, eps=0.1)
     sol = rp.fyodorov_omega(p)
     dz = rp.fgsm_logit_response(sol, p)
-    x, z = p.X, p.Z_tilde
-    # Omega = X R^2 X^T = T^T T with T = R X^T, R symmetric
-    t = np.linalg.solve(x.T @ x - sol.lambda_star * np.eye(n_feats), x.T)
-    omega = t.T @ t
+    z = p.Z_tilde
+    omega = _dense_omega(p, sol.lambda_star)
     g = softmax(z) - np.eye(z.shape[1])[p.labels.labels]
     b = omega @ z                       # row mu is Z~^T Omega[:, mu]
     zg = np.einsum("ij,ij->i", z, g)
@@ -375,7 +384,7 @@ def test_spectral_state_oracles_on_wide_and_square_designs(n_data, n_feats, c):
             fd[:, j] = (z.T @ xp @ r @ xp[mu] - z.T @ xm @ r @ xm[mu]) / (2 * h)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) < 1e-5
         jj = rp.jj_transpose(sol, p, mu)
-        assert np.abs(jj - jac @ jac.T).max() < 1e-10
+        assert np.abs(jj - fd @ fd.T).max() < 1e-8 * np.abs(jj).max()
         assert np.abs(jj - jj.T).max() < 1e-12
 
 

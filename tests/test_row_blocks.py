@@ -9,10 +9,12 @@ experiment, whose Omega diagonal is summed in the same blocks (its dense
 oracle is in test_response.py), the checks of its problem's inputs, the CSV
 writer, which formats one row at a time, the text reader, which parses
 one read of whole lines at a time, report, which formats each SVG one
-block of rows at a time, and stats, which hands its histograms to the writer
-as numpy columns.
+block of rows at a time, stats, which hands its histograms to the writer
+as numpy columns, and store's non-finite scan, which refuses an all-NaN
+matrix a block at a time.
 """
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -22,10 +24,14 @@ from logitlab import cli, forge, report, response, stats
 from logitlab.rng import substream
 from logitlab.store import (
     BLOCK_VALUES,
+    MAGIC,
     DatasetBundle,
     LabelVector,
     LogitMatrix,
+    ParseError,
     RobustFlags,
+    ValidationError,
+    first_non_finite,
     load_matrix,
     store_flags,
     store_matrix,
@@ -240,6 +246,57 @@ def test_text_load_holds_a_few_reads_beside_the_matrix(tmp_path):
                  tmp_path / "m.txt", "text")
     assert _peak_bytes(lambda: load_matrix(tmp_path / "m.txt", "text")) \
         <= 8 * rows * COLS + 5 * 2**20
+
+
+def _peak_refusing(path, fmt):
+    def load():
+        with pytest.raises(ParseError, match="non-finite value at row 0, column 0$"):
+            load_matrix(path, fmt)
+    return _peak_bytes(load)
+
+
+def test_all_nan_binary_load_holds_the_matrix_and_a_block(tmp_path):
+    # the first non-finite cell is found a block at a time; a whole-matrix
+    # np.isfinite, or argwhere over every NaN cell (32 bytes a cell), would not fit
+    with open(tmp_path / "m.lgt", "wb") as f:
+        f.write(MAGIC + struct.pack("<II", ROWS, COLS))
+        f.write(np.full((ROWS, COLS), np.nan).data)
+    assert _peak_refusing(tmp_path / "m.lgt", "binary") <= 1.2 * MATRIX_BYTES
+
+
+def test_all_nan_text_load_holds_a_few_reads_beside_the_matrix(tmp_path):
+    rows = 4_000  # 3.1 MiB; argwhere over its NaN cells would take 12 MiB more
+    with open(tmp_path / "m.txt", "w") as f:
+        f.write(f"{rows},{COLS}\n")
+        f.writelines(",".join(["nan"] * COLS) + "\n" for _ in range(rows))
+    assert _peak_refusing(tmp_path / "m.txt", "text") <= 8 * rows * COLS + 3 * 2**20
+
+
+def test_all_nan_logit_matrix_is_refused_a_block_at_a_time():
+    values = np.full((ROWS, COLS), np.nan)
+
+    def build():
+        with pytest.raises(ValidationError, match="non-finite logit at row 0, column 0$"):
+            LogitMatrix(values)
+
+    assert _peak_bytes(build) <= 0.1 * MATRIX_BYTES
+
+
+@pytest.mark.parametrize("rows,cols", [(3 * BLOCK_VALUES // 100 + 7, 100), (5, 3 * BLOCK_VALUES),
+                                       (4, 0), (0, 4)])
+def test_first_non_finite_matches_the_whole_matrix_reference(rows, cols):
+    # first cells of a block, the last cell, and cells past a block's end
+    x = np.zeros((rows, cols))
+    assert first_non_finite(x) is None
+    step = max(1, BLOCK_VALUES // max(cols, 1))
+    for cell in [(r, c) for r in {0, step - 1, step, rows - 1} for c in {0, cols - 1}
+                 if 0 <= r < rows and cols]:
+        for bad in (np.nan, np.inf, -np.inf):
+            y = x.copy()
+            y[cell] = bad
+            y[rows - 1, cols - 1] = np.nan  # a later non-finite cell is not named
+            ref = tuple(np.argwhere(~np.isfinite(y))[0])
+            assert first_non_finite(y) == ref == first_non_finite(np.asfortranarray(y))
 
 
 @pytest.mark.parametrize("n_data,n_feats", [(1200, 600), (600, 1200)],

@@ -95,10 +95,11 @@ def test_ragged_row_is_parse_error(tmp_path):
     ("3,3\n1,2,3\n4,?,6,7\n7,8,9\n", "row 1 has 4 values, expected 3"),
     ("1,-2\n1,2\n", "negative size in header '1,-2'"),
     ("0,-2\n", "negative size in header '0,-2'"),
+    ("2,0\n1\n1\n", "row 0 has 1 values, expected 0"),
 ], ids=["unparseable", "non_finite", "short_row", "row_count", "extra_row",
         "bad_cell_before_row_count", "huge_cols", "huge_cols_beyond_int64", "no_rows_huge_cols",
         "first_bad_cell", "non_finite_before_later_bad_cell", "short_before_bad", "long_row",
-        "negative_cols", "negative_cols_no_rows"])
+        "negative_cols", "negative_cols_no_rows", "zero_cols"])
 def test_text_failure_messages(tmp_path, body, message):
     p = tmp_path / "m.txt"
     p.write_text(body)
@@ -143,6 +144,14 @@ def test_non_finite_binary_payload(tmp_path, rows, cols, bad, message):
     with pytest.raises(ParseError) as info:
         load_matrix(p, "binary")
     assert str(info.value) == f"{p}: {message}"
+
+
+def test_zero_column_binary_names_its_shape(tmp_path):
+    # the non-finite scan over its empty rows finds nothing to name first
+    p = tmp_path / "m.lgt"
+    p.write_bytes(b"LGT1" + np.array([3, 0], "<u4").tobytes())
+    with pytest.raises(ValidationError, match="at least two columns"):
+        load_matrix(p, "binary")
 
 
 @pytest.mark.parametrize("raw,message", [

@@ -394,6 +394,19 @@ def test_gap_shrinkage_validation():
         sg.MeanFieldParams(5.0, 5.0, 10, 1.5)
 
 
+def test_gap_shrinkage_refuses_where_the_surface_is_nan():
+    # beta_wrong = 2 at N = 10 is inadmissible (the surface writes NaN there);
+    # the refusal is surrogate_logit's, and a pole is named as a DomainError
+    with pytest.raises(sg.SurrogateError, match=r"^beta=2.0 is inadmissible for "
+                       r"case=misclassified, branch=plus, N=10$"):
+        sg.gap_shrinkage(_params(bc=2.0, bw=2.0), 1.0, 1.0)
+    assert np.isnan(sg.gap_shrinkage_surface([2.0], [2.0], 10, 0.2)[0, 0])
+    with pytest.raises(sg.DomainError, match=r"pole ln\(N-1\) = ln\(9\)"):
+        sg.gap_shrinkage(_params(bc=math.log(9)), 1.0, 1.0)
+    with pytest.raises(sg.DomainError, match=r"pole ln\(N-3\) = ln\(7\)"):
+        sg.gap_shrinkage(_params(bw=math.log(7)), 1.0, 1.0)
+
+
 # ---------- grid evaluators against the per-beta reference ----------
 
 def _per_beta_admissible(n: int, beta: float, case: str, branch: str) -> bool:
@@ -438,11 +451,13 @@ def test_grid_evaluators_match_per_beta_reference(n, branch):
     (ok_c, loss_c), (ok_w, loss_w) = ref["correct"], ref["misclassified"]
     for i, bc in enumerate(grid):
         for j, bw in enumerate(grid):
+            params = sg.MeanFieldParams(float(bc), float(bw), n, er)
             if not (ok_c[i] and ok_w[j]):
                 assert np.isnan(surf[i, j]) and np.isnan(shrink[i, j])
+                with pytest.raises(sg.SurrogateError):  # a NaN cell is a refusal
+                    sg.gap_shrinkage(params, 1.0, 1.0, branch)
                 continue
             assert surf[i, j] == (1.0 - er) * loss_c[i] + er * loss_w[j]
-            params = sg.MeanFieldParams(float(bc), float(bw), n, er)
             assert shrink[i, j] == sg.gap_shrinkage(params, 1.0, 1.0, branch)
 
 
@@ -468,8 +483,10 @@ def test_shrinkage_surface_matches_scalar_on_dense_slices():
     )
     for case, values, betas in slices:
         for b, v in zip(grid.tolist(), values.tolist()):
+            params = sg.MeanFieldParams(*betas(b), n, er)
             if not _per_beta_admissible(n, b, case, "plus"):
                 assert math.isnan(v)
+                with pytest.raises(sg.SurrogateError):
+                    sg.gap_shrinkage(params, 1.0, 1.0)
                 continue
-            params = sg.MeanFieldParams(*betas(b), n, er)
             assert v == sg.gap_shrinkage(params, 1.0, 1.0)
