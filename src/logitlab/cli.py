@@ -178,7 +178,7 @@ def _cmd_analytic(args, outputs: _Outputs) -> None:
         raise UsageError(f"--beta-min/--beta-max/--beta-step must give 1 to {MAX_BETAS} betas")
     if args.n_classes > MAX_CLASSES:
         raise UsageError(f"--n-classes must be at most {MAX_CLASSES}, got {args.n_classes}")
-    surrogate._check_error_rate(args.error_rate)
+    surrogate.check_error_rate(args.error_rate)
     if not (args.surface or args.shrinkage or args.threshold):
         raise UsageError("analytic requires at least one of --surface/--shrinkage/--threshold")
     grid = np.arange(args.beta_min, args.beta_max + 1e-12, args.beta_step)
@@ -191,12 +191,8 @@ def _cmd_analytic(args, outputs: _Outputs) -> None:
             values = surface(grid, grid, args.n_classes, args.error_rate, args.branch).ravel()
             outputs.csv(f"{name}.csv", f"beta_correct,beta_wrong,{column}", *pairs, values)
     if args.threshold:
-        ns, ths = range(4, args.n_classes + 1), []
-        for nn in ns:
-            try:
-                ths.append(surrogate.admissibility_threshold(nn, "misclassified", args.branch))
-            except surrogate.SearchError:
-                ths.append(float("nan"))
+        ns = range(4, args.n_classes + 1)
+        ths = [surrogate.admissibility_threshold(nn, "misclassified", args.branch) for nn in ns]
         outputs.csv("threshold.csv", "n_classes,threshold", ns, ths)
 
 

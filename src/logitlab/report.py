@@ -113,8 +113,7 @@ def _heatmap(path: Path, a: np.ndarray):
 
 
 # the drawing for a CSV's first header cell; any other 3-column CSV is a histogram
-_DRAWINGS = {"bin_left": _histogram, "gap_low": _histogram, "k": _histogram,
-             "beta_correct": _heatmap, "x": _heatmap}
+_DRAWINGS = {"bin_left": _histogram, "gap_low": _histogram, "beta_correct": _heatmap}
 
 
 def emit_report(directory: str | Path) -> list[Path]:

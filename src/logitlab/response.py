@@ -27,7 +27,7 @@ import numpy as np
 from .rng import substream
 from .stats import logit_gaps, softmax
 from .store import LabelVector, LogitMatrix, first_non_finite, row_blocks, row_norms
-from .surrogate import MeanFieldParams, SurrogateSpec, gap_shrinkage, surrogate_logit
+from .surrogate import MeanFieldParams, SurrogateSpec, ansatz_rows, coefficients, gap_shrinkage
 
 
 MAX_VALUES = 1 << 26  # gap_shift_experiment's X and Z together: 512 MiB of float64
@@ -363,9 +363,8 @@ def gap_shift_experiment(
     if n_data * (n_feats + n) > MAX_VALUES:  # checked before any array is built
         raise ResponseError(f"n_data x (n_feats + n_classes) exceeds {MAX_VALUES} values")
     # gap_shrinkage reads both cases, so both betas are checked before any draw
-    beta_w, g, psi = surrogate_logit(
-        SurrogateSpec(n, params.beta_wrong, "misclassified"), 1, 0)[:3]
-    beta_c, f = surrogate_logit(SurrogateSpec(n, params.beta_correct, "correct"), 0, 0)[:2]
+    g, psi = coefficients(SurrogateSpec(n, params.beta_wrong, "misclassified"))
+    f, _ = coefficients(SurrogateSpec(n, params.beta_correct, "correct"))
     rng = substream(seed, 1)
     x = rng.standard_normal((n_data, n_feats))
     x /= row_norms(x)[:, None]
@@ -374,16 +373,11 @@ def gap_shift_experiment(
     labels = rng.integers(0, n, size=n_data)
     correct_mask = np.arange(n_data) >= n_wrong
     wrong = ~correct_mask
-    # each sample's row is its case's surrogate logit moved onto its classes
-    z = np.empty((n_data, n))
-    if n_wrong:
-        argmax = (labels[wrong] + 1 + rng.integers(0, n - 1, size=n_wrong)) % n
-        z[wrong] = psi
-        z[wrong, labels[wrong]] = g
-        z[wrong, argmax] = beta_w
-    if n_wrong < n_data:
-        z[correct_mask] = f
-        z[correct_mask, labels[correct_mask]] = beta_c
+    argmax = labels.copy()
+    argmax[wrong] = (labels[wrong] + 1 + rng.integers(0, n - 1, size=n_wrong)) % n
+    # each sample's row is its case's ansatz on its own label and argmax
+    z = ansatz_rows(np.where(wrong, params.beta_wrong, params.beta_correct),
+                    np.where(wrong, g, f), np.where(wrong, psi, f), n, labels, argmax)
 
     problem = ResponseProblem(
         X=x, Z_tilde=z, labels=LabelVector(labels),

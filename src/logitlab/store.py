@@ -365,7 +365,9 @@ def load_labels(path: str | Path) -> LabelVector:
             vals.append(int(ln))
         except ValueError as e:
             raise ParseError(f"{path}: unparseable label at line {i}") from e
-        if not -(2**63) <= vals[-1] < 2**63:
+        if vals[-1] < 0:
+            raise ParseError(f"{path}: negative label at line {i}")
+        if vals[-1] >= 2**63:
             raise ParseError(f"{path}: label at line {i} does not fit in int64")
     return LabelVector(np.array(vals, dtype=np.int64))
 

@@ -15,6 +15,8 @@ symmetric ansatz they solve a quadratic whose constant term differs from the
 true one. The loss surface, gap shrinkage, thresholds and surrogate logits
 are built from the printed forms by one evaluator, _closed_forms, the place
 to move them onto the roots symmetric_stationary finds on the same ansatz.
+coefficients is the one refusal of a beta, and ansatz_rows the one layout of
+a logit row on the ansatz.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class SurrogateSpec:
             raise SurrogateError("misclassified case needs n_classes >= 3")
 
 
-def _check_error_rate(error_rate: float) -> None:
+def check_error_rate(error_rate: float) -> None:
     if not (0.0 <= error_rate <= 1.0):
         raise SurrogateError("error_rate must be in [0, 1]")
 
@@ -71,7 +73,7 @@ class MeanFieldParams:
     error_rate: float
 
     def __post_init__(self) -> None:
-        _check_error_rate(self.error_rate)
+        check_error_rate(self.error_rate)
 
 
 def _pole_hits(beta, n_classes: int, case: str) -> list[tuple[np.ndarray, str]]:
@@ -194,12 +196,25 @@ def admissibility_threshold(n_classes: int, case: str, branch: str = "plus") -> 
     return float(hi)
 
 
-def _logit_rows(beta, true, other, n_classes: int, true_class, argmax_class) -> np.ndarray:
-    """beta*phi_hat + v at each beta: true at true_class, other elsewhere."""
-    z = np.repeat(np.expand_dims(other, -1), n_classes, axis=-1)
-    z[..., true_class] = true
-    z[..., argmax_class] = beta
-    return z
+def coefficients(spec: SurrogateSpec):
+    """True-class and other-class coefficients at spec.beta, (f, f) or (g, psi).
+    DomainError at a pole or a negative discriminant, SurrogateError where
+    beta <= max(u): the one place a beta is refused."""
+    true, other, _, ok = _closed_forms_at(spec.beta, spec.n_classes, spec.case, spec.branch)
+    if not ok:
+        raise SurrogateError(f"beta={spec.beta} is inadmissible for case={spec.case}, "
+                             f"branch={spec.branch}, N={spec.n_classes}")
+    return true, other
+
+
+def ansatz_rows(beta, true, other, n_classes: int, true_class, argmax_class) -> np.ndarray:
+    """Logit rows beta*phi_hat + v: beta at argmax_class, true at true_class and
+    other at every other class. Each argument is a scalar, one value per beta of
+    a grid or one value per sample; the rows run along the leading axis."""
+    beta, true, other, true_class, argmax_class = (
+        np.expand_dims(a, -1) for a in (beta, true, other, true_class, argmax_class))
+    cls = np.arange(n_classes)
+    return np.where(cls == argmax_class, beta, np.where(cls == true_class, true, other))
 
 
 def surrogate_logit(spec: SurrogateSpec, true_class: int, argmax_class: int) -> np.ndarray:
@@ -208,11 +223,7 @@ def surrogate_logit(spec: SurrogateSpec, true_class: int, argmax_class: int) -> 
     if not (0 <= true_class < n and 0 <= argmax_class < n):
         raise SurrogateError("class index out of range")
     _check_assignment(spec.case, true_class, argmax_class)
-    true, other, _, ok = _closed_forms_at(spec.beta, n, spec.case, spec.branch)
-    if not ok:
-        raise SurrogateError(f"beta={spec.beta} is inadmissible for case={spec.case}, "
-                             f"branch={spec.branch}, N={n}")
-    return _logit_rows(spec.beta, true, other, n, true_class, argmax_class)
+    return ansatz_rows(spec.beta, *coefficients(spec), n, true_class, argmax_class)
 
 
 def exact_ce(z: np.ndarray, y: int):
@@ -232,6 +243,15 @@ def _form(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     return h * x - h * (h @ x)
 
 
+def _expansion(beta: float, k: int, u: np.ndarray, n: int):
+    """The field h at beta*phi_hat with phi_hat = e_k, and Q u: the pieces the
+    expansion, its gradient and its Hessian are built from."""
+    phi = np.zeros(n)
+    phi[k] = 1.0
+    h = _field(beta, phi, n)
+    return h, _form(h, u)
+
+
 def truncated_ce(z: np.ndarray, y: int) -> float:
     """Third-order expansion of the cross-entropy around beta*phi_hat.
 
@@ -242,19 +262,14 @@ def truncated_ce(z: np.ndarray, y: int) -> float:
     n = z.size
     k = int(np.argmax(z))
     beta = float(z[k])
-    phi = np.zeros(n)
-    phi[k] = 1.0
-    u = z - beta * phi
-    yv = np.zeros(n)
-    yv[y] = 1.0
-    h = _field(beta, phi, n)
+    u = z - beta * (np.arange(n) == k)
+    h, qu = _expansion(beta, k, u, n)
     log_z = beta + np.log(1.0 + np.exp(-beta) * (n - 1))
-    qu = _form(h, u)
     uqu = u @ qu
     return float(
         log_z
-        - beta * phi[y]
-        + u @ (h - yv)
+        - beta * (k == y)
+        + u @ (h - (np.arange(n) == y))
         + 0.5 * uqu
         + (u * u) @ qu / 6.0
         - (u @ h) * uqu / 3.0
@@ -269,15 +284,10 @@ def truncated_ce_grad(z: np.ndarray, y: int) -> np.ndarray:
 
 
 def _grad(beta: float, k: int, u: np.ndarray, y: int, n: int) -> np.ndarray:
-    phi = np.zeros(n)
-    phi[k] = 1.0
-    yv = np.zeros(n)
-    yv[y] = 1.0
-    h = _field(beta, phi, n)
-    qu = _form(h, u)
+    h, qu = _expansion(beta, k, u, n)
     return (
         h
-        - yv
+        - (np.arange(n) == y)
         + qu
         + (u * qu) / 3.0
         + _form(h, u * u) / 6.0
@@ -286,11 +296,8 @@ def _grad(beta: float, k: int, u: np.ndarray, y: int, n: int) -> np.ndarray:
 
 
 def _truncated_ce_hess(beta: float, k: int, u: np.ndarray, n: int) -> np.ndarray:
-    phi = np.zeros(n)
-    phi[k] = 1.0
-    h = _field(beta, phi, n)
+    h, qu = _expansion(beta, k, u, n)
     q = np.diag(h) - np.outer(h, h)
-    qu = _form(h, u)
     return (
         q
         + (np.diag(qu) + u[:, None] * q + q * u) / 3.0
@@ -399,13 +406,10 @@ def symmetric_stationary(
     _check_assignment(case, true_class, argmax_class)
     t = np.exp(beta)
     big_m = t + n - 1
-    points = []
     if case == "correct":
         a = (n - 1) / t
-        for f in _real_quadratic_roots(1.0 - a, 2.0 * (1.0 + a), 2.0 * (1.0 + a) ** 2):
-            u = np.full(n, f)
-            u[argmax_class] = 0.0
-            points.append(u)
+        pairs = [(f, f) for f in _real_quadratic_roots(1.0 - a, 2.0 * (1.0 + a),
+                                                        2.0 * (1.0 + a) ** 2)]
     else:
         if n < 3:
             raise SurrogateError("misclassified case needs n_classes >= 3")
@@ -417,17 +421,13 @@ def symmetric_stationary(
         pairs = [(g, 0.0) for g in zero_psi] + [
             (g, g - 2.0 * big_m / g) for g in nonzero_psi if g != 0.0
         ]
-        for g, psi in pairs:
-            u = np.full(n, psi)
-            u[true_class] = g
-            u[argmax_class] = 0.0
-            points.append(u)
+    points = [ansatz_rows(0.0, true, other, n, true_class, argmax_class) for true, other in pairs]
     return [u for u in points if u.max() < beta]
 
 
 def _grid_forms(grid_correct, grid_wrong, n_classes: int, error_rate: float, branch: str):
     """Both grids as arrays with f, g and psi on them, NaN where inadmissible."""
-    _check_error_rate(error_rate)
+    check_error_rate(error_rate)
     bc = np.asarray(grid_correct, dtype=np.float64)
     bw = np.asarray(grid_wrong, dtype=np.float64)
     f, _ = printed_coefficients(bc, n_classes, "correct", branch)
@@ -441,8 +441,8 @@ def mean_field_loss_surface(
     """Loss values on the (beta_correct, beta_wrong) grid; NaN where
     either beta is inadmissible for its case."""
     bc, f, bw, g, psi = _grid_forms(grid_correct, grid_wrong, n_classes, error_rate, branch)
-    loss_c = exact_ce(_logit_rows(bc, f, f, n_classes, 0, 0), 0)
-    loss_w = exact_ce(_logit_rows(bw, g, psi, n_classes, 1, 0), 1)
+    loss_c = exact_ce(ansatz_rows(bc, f, f, n_classes, 0, 0), 0)
+    loss_w = exact_ce(ansatz_rows(bw, g, psi, n_classes, 1, 0), 1)
     # an inadmissible beta's NaN spreads over its whole row or column
     return (1.0 - error_rate) * loss_c[:, None] + error_rate * loss_w[None, :]
 
@@ -460,17 +460,15 @@ def gap_shrinkage(
     params: MeanFieldParams, omega_correct: float, omega_wrong: float, branch: str = "plus"
 ) -> float:
     """First-order change of the correct-sample logit gap under an attack:
-    gap_shrinkage_surface's cell at these omegas, refused where it is NaN."""
+    gap_shrinkage_surface's cell at these omegas; coefficients refuses each
+    beta where the surface is NaN, beta_correct first."""
     if omega_correct < 0 or omega_wrong < 0:
         raise SurrogateError("omega coefficients must be nonnegative")
     p = params
-    bc, f, bw, g, psi = _grid_forms(p.beta_correct, p.beta_wrong, p.n_classes, p.error_rate,
-                                    branch)
-    for beta, case, coeff in ((p.beta_correct, "correct", f), (p.beta_wrong, "misclassified", g)):
-        if np.isnan(coeff):  # surrogate_logit names the pole, or that beta is inadmissible
-            surrogate_logit(SurrogateSpec(p.n_classes, beta, case, branch), case != "correct", 0)
-    return float(_shrinkage(bc - f, bw - g, g - psi, p.n_classes, p.error_rate,
-                            omega_correct, omega_wrong))
+    f, _ = coefficients(SurrogateSpec(p.n_classes, p.beta_correct, "correct", branch))
+    g, psi = coefficients(SurrogateSpec(p.n_classes, p.beta_wrong, "misclassified", branch))
+    return float(_shrinkage(p.beta_correct - f, p.beta_wrong - g, g - psi, p.n_classes,
+                            p.error_rate, omega_correct, omega_wrong))
 
 
 def gap_shrinkage_surface(

@@ -32,6 +32,8 @@ REPORT_CSVS = {
     "csv_nan_coordinate": HEAT + "0,0,1\nnan,1,2\n",
     "csv_huge_values": HEAT + "0,0,1e308\n0,1,-1e308\n",
     "csv_huge_edges": HIST + "-1e308,0,1\n0,1e308,1\n",
+    "csv_empty": "",
+    "csv_all_nan": HEAT + "0,0,nan\n0,1,nan\n",
 }
 
 
@@ -45,6 +47,8 @@ def dataset(tmp_path):
     store_labels(LabelVector(labels), tmp_path / "y.txt")
     store_labels(LabelVector(labels[:40]), tmp_path / "y40.txt")
     (tmp_path / "y_huge.txt").write_text("0\n99999999999999999999999\n")
+    (tmp_path / "y_neg.txt").write_text("0\n\n-1\n2\n")  # -1 on line 2, counting from 0
+    (tmp_path / "blank.txt").write_text("\n \n\n")
     (tmp_path / "wide.txt").write_text("1,3000000000\n1,2\n")
     (tmp_path / "huge.txt").write_text("1,99999999999999999999\n1,2\n")
     # max logits all 1e17 + 2, where the float spacing is 16
@@ -390,6 +394,19 @@ def test_cli_reproducible_responses(tmp_path):
      "b.csv: value range -1e+308..1e+308 is beyond float range"),
     (["report", "--out", "{d}/csv_huge_edges"], 3,
      "b.csv: value range -1e+308..1e+308 is beyond float range"),
+    (["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/y_neg.txt"], 3,
+     "y_neg.txt: negative label at line 2"),
+    (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels",
+      "{d}/y_neg.txt"], 3, "y_neg.txt: negative label at line 2"),
+    (["manipulate", "--logits", "{d}/m.lgt", "--kind", "correct_fix_1", "--labels",
+      "{d}/y_neg.txt"], 3, "y_neg.txt: negative label at line 2"),
+    (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--seed", "abc"], 2,
+     "argument --seed: invalid int value: 'abc'"),
+    (["mftma", "--manifolds", "{d}/blank.txt"], 3, "blank.txt: empty manifold manifest"),
+    (["stats", "--logits", "{d}/blank.txt", "--format", "text"], 3, "blank.txt: empty file"),
+    (["report", "--out", "{d}/csv_empty"], 3, "b.csv: empty CSV"),
+    (["report", "--out", "{d}/csv_all_nan"], 3, "b.csv: all values are NaN"),
+    (["response", "--beta-correct", "-3"], 4, "negative discriminant at beta=-3.0, N=10"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
@@ -414,7 +431,10 @@ def test_cli_reproducible_responses(tmp_path):
         "stats_seed_removed", "report_short_row",
         "report_long_row",
         "report_inf_count", "report_inf_value", "report_nan_coordinate", "report_huge_values",
-        "report_huge_edges"])
+        "report_huge_edges", "stats_negative_label", "overlap_negative_label",
+        "manipulate_negative_label", "overlap_seed_not_int", "mftma_blank_manifest",
+        "stats_blank_text", "report_empty_csv", "report_all_nan_heatmap",
+        "response_beta_correct_negative_discriminant"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]

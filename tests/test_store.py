@@ -204,6 +204,8 @@ def test_validate_bundle_paths():
         validate_bundle(logits, labels, RobustFlags([True, False]))
     with pytest.raises(ValidationError, match="labels length mismatch"):
         validate_bundle(logits, LabelVector([0, 1]))
+    with pytest.raises(ValidationError, match="negative label at index 1"):
+        LabelVector([0, -1, 2])
 
 
 def test_labels_flags_round_trip(tmp_path):

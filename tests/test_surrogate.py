@@ -149,6 +149,46 @@ def test_surrogate_logit_contradictions():
         sg.surrogate_logit(sg.SurrogateSpec(10, 2.0, "misclassified", "plus"), 1, 0)
 
 
+@pytest.mark.parametrize("n_wrong", [0, 13, 40], ids=["none_wrong", "some_wrong", "all_wrong"])
+def test_ansatz_rows_match_the_hand_assembly(n_wrong):
+    # per-sample labels and argmaxes, as gap_shift_experiment draws them
+    n_data, n, beta_c, beta_w = 40, 10, 5.0, 6.5
+    rng = np.random.default_rng(n_wrong)
+    labels = rng.integers(0, n, size=n_data)
+    wrong = np.arange(n_data) < n_wrong
+    argmax = labels.copy()
+    argmax[wrong] = (labels[wrong] + 1 + rng.integers(0, n - 1, size=n_wrong)) % n
+    assert not np.any(argmax[wrong] == labels[wrong])
+    g, psi = sg.coefficients(sg.SurrogateSpec(n, beta_w, "misclassified"))
+    f, _ = sg.coefficients(sg.SurrogateSpec(n, beta_c, "correct"))
+    # the rows written one case at a time by index assignment
+    ref = np.empty((n_data, n))
+    if n_wrong:
+        ref[wrong] = psi
+        ref[wrong, labels[wrong]] = g
+        ref[wrong, argmax[wrong]] = beta_w
+    if n_wrong < n_data:
+        ref[~wrong] = f
+        ref[~wrong, labels[~wrong]] = beta_c
+    z = sg.ansatz_rows(np.where(wrong, beta_w, beta_c), np.where(wrong, g, f),
+                       np.where(wrong, psi, f), n, labels, argmax)
+    assert z.dtype == ref.dtype and z.shape == ref.shape
+    assert z.tobytes() == ref.tobytes()
+
+
+def test_coefficients_refusals():
+    assert sg.coefficients(sg.SurrogateSpec(10, 5.0, "correct")) == (sg.f_pm(5.0, 10),) * 2
+    g, _, psi = sg.misclassified_coeffs(5.0, 10)
+    assert sg.coefficients(sg.SurrogateSpec(10, 5.0, "misclassified")) == (g, psi)
+    with pytest.raises(sg.DomainError, match=r"^beta at pole ln\(N-1\) = ln\(9\)$"):
+        sg.coefficients(sg.SurrogateSpec(10, math.log(9), "correct"))
+    with pytest.raises(sg.DomainError, match=r"^negative discriminant at beta=-3.0, N=10$"):
+        sg.coefficients(sg.SurrogateSpec(10, -3.0, "correct"))
+    with pytest.raises(sg.SurrogateError, match=r"^beta=2.0 is inadmissible for "
+                       r"case=misclassified, branch=plus, N=10$"):
+        sg.coefficients(sg.SurrogateSpec(10, 2.0, "misclassified", "plus"))
+
+
 def test_exact_ce_examples():
     assert sg.exact_ce(np.zeros(10), 3) == pytest.approx(math.log(10), abs=1e-14)
     beta = 4.0
