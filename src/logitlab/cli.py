@@ -63,8 +63,10 @@ def _sha256(path: str | Path) -> str:
 
 class _Outputs:
     """The artifacts of one run, staged in a hidden directory inside --out. On
-    success each moves into --out, then manifest.json; on failure the staging
-    directory is deleted, and so is every directory the run made for --out."""
+    success an earlier manifest.json is removed, each artifact moves into
+    --out, then manifest.json, so a failed move leaves no manifest naming a
+    replaced file; on failure the staging directory is deleted, and so is
+    every directory the run made for --out."""
 
     def __init__(self, args) -> None:
         self.args = args
@@ -94,6 +96,7 @@ class _Outputs:
             "outputs": {str(self.out / n): _sha256(self.stage / n) for n in self.names},
         }
         (self.stage / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        (self.out / "manifest.json").unlink(missing_ok=True)
         for name in self.names + ["manifest.json"]:
             os.replace(self.stage / name, self.out / name)
         self.stage.rmdir()

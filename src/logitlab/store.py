@@ -295,17 +295,22 @@ def _adopt(arr: np.ndarray) -> LogitMatrix:
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(i, line) for each non-blank line of a UTF-8 text file, i counting every
-    line as str.splitlines() does; decodes READ_BYTES of whole lines at a time."""
-    i = 0
+    """(i, line) for each non-blank line of a UTF-8 text file, split on "\\n"
+    or "\\r\\n" only and i counting every line from 1, as an editor does;
+    decodes READ_BYTES of whole lines at a time."""
+    i = 1
     try:
         with open(path, "rb") as f:
             while data := f.read(READ_BYTES) + f.readline():
                 try:
-                    lines = data.decode().splitlines()
+                    text = data.decode()
                 except UnicodeDecodeError as e:  # named by its offset in the file
                     at = f.tell() - len(data) + e.start
                     raise ParseError(f"{path}: not text ({e.reason} at byte {at})") from None
+                # replace() costs most of a split, so a file without "\r" skips it
+                lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+                if not lines[-1]:  # the empty piece after the final newline
+                    lines.pop()
                 yield from compress(zip(count(i), lines), map(str.strip, lines))
                 i += len(lines)
     except OSError as e:

@@ -6,15 +6,20 @@ orthogonal complement of phi_hat. Closed forms f+-, (g+-, kappa, psi+-) give
 published stationary candidates of the third-order expansion of the
 cross-entropy around beta*phi_hat, for correctly classified and misclassified
 samples respectively. This module evaluates those closed forms exactly as
-printed, the truncated and exact losses, admissibility constraints, the
-mean-field loss surface, a brute-force stationary-point finder that serves as
-the independent oracle, and the first-order gap-shrinkage prediction.
+printed, the truncated and exact losses, admissibility constraints, the exact
+stationary points of the truncated loss on the symmetric ansatz
+(symmetric_stationary), the mean-field loss surface and the first-order
+gap-shrinkage prediction. The tests check symmetric_stationary against a
+brute-force search with its own gradient and Hessian of the loss, in
+tests/oracles.py.
 
 The printed closed forms are not stationary points of truncated_ce: on the
 symmetric ansatz they solve a quadratic whose constant term differs from the
-true one. The loss surface, gap shrinkage, thresholds and surrogate logits
-are built from the printed forms by one evaluator, _closed_forms, the place
-to move them onto the roots symmetric_stationary finds on the same ansatz.
+true one (for f, (1-A) f^2 + 2(1+A) f - 2 e^-2beta = 0 with A = (N-1) e^-beta,
+where the roots have 2(1+A)^2). The loss surface, gap shrinkage, thresholds
+and surrogate logits are built from the printed forms by one evaluator,
+_closed_forms, the place to move them onto the roots symmetric_stationary
+finds on the same ansatz.
 coefficients is the one refusal of a beta, and ansatz_rows the one layout of
 a logit row on the ansatz.
 """
@@ -24,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import substream
 
 POLE_TOL = 1e-8
 
@@ -95,8 +98,9 @@ def _check_assignment(case: str, true_class: int, argmax_class: int) -> None:
 
 def _closed_forms(beta, n_classes: int, case: str, branch: str):
     """The printed forms at a float or an array of beta: true-class and
-    other-class coefficients, (f, f) or (g, psi); kappa (None if correct); the
-    domain (off the poles by POLE_TOL, rad >= 0); and admissibility, beta > max(u)."""
+    other-class coefficients, (f, f) or (g, psi); the domain (off the poles by
+    POLE_TOL, rad >= 0); and admissibility, beta > max(u). At N=3 the factor
+    (N-3) e^-beta of the misclassified forms is 0, and they hold as they stand."""
     s = 1.0 if branch == "plus" else -1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.exp(-beta) * (n_classes - 1)
@@ -104,7 +108,6 @@ def _closed_forms(beta, n_classes: int, case: str, branch: str):
             # float_power calls libm pow, as float ** 2 does (an array's ** 2 multiplies)
             rad = 1.0 + 2.0 * np.exp(-2.0 * beta) * (1.0 - a) / np.float_power(1.0 + a, 2)
             true = other = (1.0 + a) / (1.0 - a) * (-1.0 + s * np.sqrt(rad))
-            kappa = None
         else:
             b = np.exp(-beta) * (n_classes - 3)
             rad = 1.0 + 2.0 * (1.0 - a) * (1.0 - b) / (1.0 + a)
@@ -114,58 +117,31 @@ def _closed_forms(beta, n_classes: int, case: str, branch: str):
         domain = ~(rad < 0)
         for hit, _ in _pole_hits(beta, n_classes, case):
             domain = domain & ~hit
-        return true, other, kappa, domain, domain & (beta > np.maximum(true, other))
+        return true, other, domain, domain & (beta > np.maximum(true, other))
 
 
 def _closed_forms_at(beta: float, n_classes: int, case: str, branch: str):
-    """(true, other, kappa, admissible) at one beta; DomainError off the domain."""
+    """(true, other, admissible) at one beta; DomainError off the domain."""
     for hit, name in _pole_hits(beta, n_classes, case):
         if hit:
             raise DomainError(f"beta at pole {name}")
-    true, other, kappa, domain, ok = _closed_forms(beta, n_classes, case, branch)
+    true, other, domain, ok = _closed_forms(beta, n_classes, case, branch)
     if not domain:
         raise DomainError(f"negative discriminant at beta={beta}, N={n_classes}")
-    return true, other, kappa, bool(ok)
+    return true, other, bool(ok)
 
 
 def printed_coefficients(beta, n_classes: int, case: str, branch: str = "plus"):
     """True-class and other-class coefficients at each beta, (f, f) or (g, psi);
     NaN at a pole, at a negative discriminant and where beta <= max(u)."""
     SurrogateSpec(n_classes, 0.0, case, branch)  # validates the arguments
-    true, other, _, _, ok = _closed_forms(beta, n_classes, case, branch)
+    true, other, _, ok = _closed_forms(beta, n_classes, case, branch)
     return np.where(ok, true, np.nan), np.where(ok, other, np.nan)
-
-
-def f_pm(beta: float, n_classes: int, branch: str = "plus") -> float:
-    """Printed coefficient f+- for the correctly classified case.
-
-    This evaluates the published formula, which solves
-    (1-A) f^2 + 2(1+A) f - 2 e^-2beta = 0 with A = (N-1) e^-beta. It is not a
-    stationary point of truncated_ce on the ansatz u = f (1 - phi_hat); those
-    solve the same quadratic with constant term 2(1+A)^2 and are returned by
-    symmetric_stationary.
-    """
-    return float(_closed_forms_at(beta, n_classes, "correct", branch)[0])
-
-
-def misclassified_coeffs(
-    beta: float, n_classes: int, branch: str = "plus"
-) -> tuple[float, float, float]:
-    """Printed (g, kappa, psi) coefficients for the misclassified case.
-
-    This evaluates the published formulas. The resulting (g, psi) is not a
-    stationary point of truncated_ce on the ansatz u_y = g, u = psi on the
-    other non-argmax classes; symmetric_stationary returns those. At N=3 the
-    N-3 factor of the forms vanishes, (N-3)e^-beta = 0, and the forms are
-    evaluated with it as they stand.
-    """
-    g, psi, kappa, _ = _closed_forms_at(beta, n_classes, "misclassified", branch)
-    return float(g), float(kappa), float(psi)
 
 
 def admissible(spec: SurrogateSpec) -> bool:
     """Whether the closed-form solution obeys the strict max constraint."""
-    return _closed_forms_at(spec.beta, spec.n_classes, spec.case, spec.branch)[3]
+    return _closed_forms_at(spec.beta, spec.n_classes, spec.case, spec.branch)[2]
 
 
 def admissibility_threshold(n_classes: int, case: str, branch: str = "plus") -> float:
@@ -200,7 +176,7 @@ def coefficients(spec: SurrogateSpec):
     """True-class and other-class coefficients at spec.beta, (f, f) or (g, psi).
     DomainError at a pole or a negative discriminant, SurrogateError where
     beta <= max(u): the one place a beta is refused."""
-    true, other, _, ok = _closed_forms_at(spec.beta, spec.n_classes, spec.case, spec.branch)
+    true, other, ok = _closed_forms_at(spec.beta, spec.n_classes, spec.case, spec.branch)
     if not ok:
         raise SurrogateError(f"beta={spec.beta} is inadmissible for case={spec.case}, "
                              f"branch={spec.branch}, N={spec.n_classes}")
@@ -234,24 +210,6 @@ def exact_ce(z: np.ndarray, y: int):
     return float(loss) if z.ndim == 1 else loss
 
 
-def _field(beta: float, phi: np.ndarray, n: int) -> np.ndarray:
-    return (1.0 + (np.exp(beta) - 1.0) * phi) / (np.exp(beta) + n - 1)
-
-
-def _form(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Q x with Q = diag(h) - h h^T, without forming Q."""
-    return h * x - h * (h @ x)
-
-
-def _expansion(beta: float, k: int, u: np.ndarray, n: int):
-    """The field h at beta*phi_hat with phi_hat = e_k, and Q u: the pieces the
-    expansion, its gradient and its Hessian are built from."""
-    phi = np.zeros(n)
-    phi[k] = 1.0
-    h = _field(beta, phi, n)
-    return h, _form(h, u)
-
-
 def truncated_ce(z: np.ndarray, y: int) -> float:
     """Third-order expansion of the cross-entropy around beta*phi_hat.
 
@@ -262,8 +220,10 @@ def truncated_ce(z: np.ndarray, y: int) -> float:
     n = z.size
     k = int(np.argmax(z))
     beta = float(z[k])
-    u = z - beta * (np.arange(n) == k)
-    h, qu = _expansion(beta, k, u, n)
+    phi = np.arange(n) == k
+    u = z - beta * phi
+    h = (1.0 + (np.exp(beta) - 1.0) * phi) / (np.exp(beta) + n - 1)  # softmax at beta*phi_hat
+    qu = h * u - h * (h @ u)  # Q u with Q = diag(h) - h h^T, without forming Q
     log_z = beta + np.log(1.0 + np.exp(-beta) * (n - 1))
     uqu = u @ qu
     return float(
@@ -274,96 +234,6 @@ def truncated_ce(z: np.ndarray, y: int) -> float:
         + (u * u) @ qu / 6.0
         - (u @ h) * uqu / 3.0
     )
-
-
-def truncated_ce_grad(z: np.ndarray, y: int) -> np.ndarray:
-    """Analytic gradient of truncated_ce in u, full ambient coordinates."""
-    z = np.asarray(z, dtype=np.float64)
-    k = int(np.argmax(z))
-    return _grad(float(z[k]), k, z - z[k] * (np.arange(z.size) == k), y, z.size)
-
-
-def _grad(beta: float, k: int, u: np.ndarray, y: int, n: int) -> np.ndarray:
-    h, qu = _expansion(beta, k, u, n)
-    return (
-        h
-        - (np.arange(n) == y)
-        + qu
-        + (u * qu) / 3.0
-        + _form(h, u * u) / 6.0
-        - (h * (u @ qu) + 2.0 * (u @ h) * qu) / 3.0
-    )
-
-
-def _truncated_ce_hess(beta: float, k: int, u: np.ndarray, n: int) -> np.ndarray:
-    h, qu = _expansion(beta, k, u, n)
-    q = np.diag(h) - np.outer(h, h)
-    return (
-        q
-        + (np.diag(qu) + u[:, None] * q + q * u) / 3.0
-        - 2.0 / 3.0 * (np.outer(h, qu) + np.outer(qu, h) + (u @ h) * q)
-    )
-
-
-def brute_force_stationary(
-    beta: float,
-    n_classes: int,
-    case: str,
-    true_class: int,
-    argmax_class: int,
-    n_inits: int = 64,
-    seed: int = 0,
-    tol: float = 1e-6,
-) -> list[np.ndarray]:
-    """Stationary points of the truncated loss in the complement of phi_hat.
-
-    Runs damped Newton iterations on the projected gradient from random
-    starts, clusters converged points, keeps those obeying the strict
-    max(u) < beta constraint, and returns the cluster representatives (the
-    orthogonal components u, full ambient length).
-    """
-    n = n_classes
-    _check_assignment(case, true_class, argmax_class)
-    phi = np.zeros(n)
-    phi[argmax_class] = 1.0
-    # orthonormal basis of the complement of phi_hat
-    basis = np.delete(np.eye(n), argmax_class, axis=1)
-    rng = substream(seed, 0)
-
-    found: list[np.ndarray] = []
-    best_residual = np.inf
-    for _ in range(n_inits):
-        c = rng.normal(scale=1.0, size=n - 1)
-        for _ in range(200):
-            u = basis @ c
-            g = basis.T @ _grad(beta, argmax_class, u, true_class, n)
-            res = np.linalg.norm(g)
-            if res < 1e-12:
-                break
-            hess = basis.T @ _truncated_ce_hess(beta, argmax_class, u, n) @ basis
-            try:
-                step = np.linalg.solve(hess, g)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, g, rcond=None)[0]
-            # trust-region style cap keeps the cubic's unbounded tail at bay
-            ns = np.linalg.norm(step)
-            if ns > 5.0:
-                step *= 5.0 / ns
-            c = c - step
-        u = basis @ c
-        res = np.linalg.norm(basis.T @ _grad(beta, argmax_class, u, true_class, n))
-        best_residual = min(best_residual, res)
-        if res > 1e-10 or not np.all(np.isfinite(u)):
-            continue
-        if u.max() >= beta:  # strict S-set constraint
-            continue
-        if not any(np.linalg.norm(u - v) < tol for v in found):
-            found.append(u)
-    if not found and best_residual > 1e-10:
-        raise SearchError(
-            f"no stationary point converged; best residual {best_residual:.3e}"
-        )
-    return found
 
 
 def _real_quadratic_roots(a: float, b: float, c: float) -> list[float]:
@@ -399,8 +269,8 @@ def symmetric_stationary(
       psi = 0 with (M-2) g^2 + 2M g - 2M^2 = 0, or
       (N-t-1) g^2 - 2M g + 2M (t-N+3) = 0 with psi = g - 2M/g.
 
-    Same return convention as brute_force_stationary: the orthogonal
-    components u (full ambient length) that obey max(u) < beta.
+    Returns the orthogonal components u (full ambient length, 0 at the
+    argmax) that obey max(u) < beta.
     """
     n = n_classes
     _check_assignment(case, true_class, argmax_class)

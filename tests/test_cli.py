@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -47,7 +48,7 @@ def dataset(tmp_path):
     store_labels(LabelVector(labels), tmp_path / "y.txt")
     store_labels(LabelVector(labels[:40]), tmp_path / "y40.txt")
     (tmp_path / "y_huge.txt").write_text("0\n99999999999999999999999\n")
-    (tmp_path / "y_neg.txt").write_text("0\n\n-1\n2\n")  # -1 on line 2, counting from 0
+    (tmp_path / "y_neg.txt").write_text("0\n\n-1\n2\n")  # -1 on line 3
     (tmp_path / "blank.txt").write_text("\n \n\n")
     (tmp_path / "wide.txt").write_text("1,3000000000\n1,2\n")
     (tmp_path / "huge.txt").write_text("1,99999999999999999999\n1,2\n")
@@ -225,7 +226,7 @@ def test_report_writes_no_svg_when_a_csv_cannot_be_drawn(tmp_path, capsys):
     (tmp_path / "a.csv").write_text("bin_left,bin_right,count\n0,1,3\n1,2,5\n")
     (tmp_path / "b.csv").write_text("bin_left,bin_right,count\n0,1,x\n")
     assert _run("report", "--out", str(tmp_path)) == 3
-    assert "b.csv: non-numeric CSV cell at line 1" in capsys.readouterr().err
+    assert "b.csv: non-numeric CSV cell at line 2" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
@@ -262,6 +263,33 @@ def test_manifest_hashes_the_final_files(dataset, argv):
         [Path(p).name for p in manifest["outputs"]] + ["manifest.json"])
     if argv[0] == "mftma":  # the listing and each cloud file it names
         assert sorted(manifest["inputs"]) == [f"{d}/c0.lgt", f"{d}/c1.lgt", f"{d}/manifolds.txt"]
+
+
+@pytest.mark.parametrize("fail_at", range(4))
+def test_a_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch, capsys, fail_at):
+    # a re-run into a full --out whose move number fail_at fails, as on a full
+    # disk: any manifest left in --out matches every file it names
+    out = tmp_path / "out"
+    argv = ["analytic", "--surface", "--shrinkage", "--threshold", "--beta-max", "4",
+            "--out", str(out)]
+    assert _run(*argv, "--n-classes", "10") == 0
+    assert len(list(out.iterdir())) == 4  # three artifacts and the manifest
+    moves, replace = [], os.replace
+
+    def failing(src, dst):
+        moves.append(dst)
+        if len(moves) > fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    assert _run(*argv, "--n-classes", "12") == 3
+    assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+    assert len(moves) == fail_at + 1
+    if (out / "manifest.json").exists():
+        manifest = json.loads((out / "manifest.json").read_text())
+        for p, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert hashlib.sha256(Path(p).read_bytes()).hexdigest() == digest
 
 
 def test_exit_codes(tmp_path, dataset):
@@ -348,11 +376,11 @@ def test_cli_reproducible_responses(tmp_path):
      "error: input: cannot write {d}/taken: [Errno 21] Is a directory: "
      "'{d}/taken/overlap_permuted.csv'"),
     (["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/y_huge.txt"], 3,
-     "y_huge.txt: label at line 1 does not fit in int64"),
+     "y_huge.txt: label at line 2 does not fit in int64"),
     (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels",
-      "{d}/y_huge.txt"], 3, "y_huge.txt: label at line 1 does not fit in int64"),
+      "{d}/y_huge.txt"], 3, "y_huge.txt: label at line 2 does not fit in int64"),
     (["manipulate", "--logits", "{d}/m.lgt", "--kind", "correct_fix_1", "--labels",
-      "{d}/y_huge.txt"], 3, "y_huge.txt: label at line 1 does not fit in int64"),
+      "{d}/y_huge.txt"], 3, "y_huge.txt: label at line 2 does not fit in int64"),
     (["stats", "--logits", "{d}/wide.txt", "--format", "text"], 3,
      "wide.txt: header '1,3000000000' is too large for a file of 17 bytes"),
     (["stats", "--logits", "{d}/huge.txt", "--format", "text"], 3,
@@ -384,22 +412,22 @@ def test_cli_reproducible_responses(tmp_path):
     (["mftma", "--manifolds", "{d}/manifolds.txt", "--n-samples", "5", "--kappa", "1e155"], 4,
      "kappa = 1e+155 puts the capacity sum beyond float range"),
     (["stats", "--logits", "{d}/m.lgt", "--seed", "1"], 2, "unrecognized arguments"),
-    (["report", "--out", "{d}/csv_short_row"], 3, "b.csv: line 2 has 2 cells, the header has 3"),
-    (["report", "--out", "{d}/csv_long_row"], 3, "b.csv: line 2 has 4 cells, the header has 3"),
+    (["report", "--out", "{d}/csv_short_row"], 3, "b.csv: line 3 has 2 cells, the header has 3"),
+    (["report", "--out", "{d}/csv_long_row"], 3, "b.csv: line 3 has 4 cells, the header has 3"),
     (["report", "--out", "{d}/csv_inf_count"], 3,
-     "b.csv: non-finite bin edge or count at line 2"),
-    (["report", "--out", "{d}/csv_inf_value"], 3, "b.csv: infinite value at line 2"),
-    (["report", "--out", "{d}/csv_nan_coordinate"], 3, "b.csv: non-finite coordinate at line 2"),
+     "b.csv: non-finite bin edge or count at line 3"),
+    (["report", "--out", "{d}/csv_inf_value"], 3, "b.csv: infinite value at line 3"),
+    (["report", "--out", "{d}/csv_nan_coordinate"], 3, "b.csv: non-finite coordinate at line 3"),
     (["report", "--out", "{d}/csv_huge_values"], 3,
      "b.csv: value range -1e+308..1e+308 is beyond float range"),
     (["report", "--out", "{d}/csv_huge_edges"], 3,
      "b.csv: value range -1e+308..1e+308 is beyond float range"),
     (["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/y_neg.txt"], 3,
-     "y_neg.txt: negative label at line 2"),
+     "y_neg.txt: negative label at line 3"),
     (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels",
-      "{d}/y_neg.txt"], 3, "y_neg.txt: negative label at line 2"),
+      "{d}/y_neg.txt"], 3, "y_neg.txt: negative label at line 3"),
     (["manipulate", "--logits", "{d}/m.lgt", "--kind", "correct_fix_1", "--labels",
-      "{d}/y_neg.txt"], 3, "y_neg.txt: negative label at line 2"),
+      "{d}/y_neg.txt"], 3, "y_neg.txt: negative label at line 3"),
     (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--seed", "abc"], 2,
      "argument --seed: invalid int value: 'abc'"),
     (["mftma", "--manifolds", "{d}/blank.txt"], 3, "blank.txt: empty manifold manifest"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logitlab.store import (
+    READ_BYTES,
     LabelVector,
     LogitMatrix,
     ParseError,
@@ -224,11 +225,11 @@ LINE_READERS = {  # reader, lines of a file, what it reads, a bad last line, its
     "matrix": (lambda p: load_matrix(p, "text").values.tolist(), ["2,2", "1,2", "3,4"],
                [[1.0, 2.0], [3.0, 4.0]], "3,x", "unparseable value at row 1, column 1"),
     "labels": (lambda p: load_labels(p).labels.tolist(), ["3", "1"], [3, 1], "x",
-               "unparseable label at line 3"),
+               "unparseable label at line 4"),
     "flags": (lambda p: load_flags(p).flags.tolist(), ["1", "0"], [True, False], "2",
-              "flag at line 3 must be 0 or 1, got '2'"),
+              "flag at line 4 must be 0 or 1, got '2'"),
     # the mftma manifold listing is the names read_lines yields
-    "listing": (lambda p: list(read_lines(p)), ["a.lgt", "b.lgt"], [(1, "a.lgt"), (3, "b.lgt")],
+    "listing": (lambda p: list(read_lines(p)), ["a.lgt", "b.lgt"], [(2, "a.lgt"), (4, "b.lgt")],
                 None, None),
 }
 
@@ -259,6 +260,22 @@ def test_line_rules_of_every_text_reader(tmp_path, reader):
     with pytest.raises(ParseError) as err:
         read(p)
     assert str(err.value) == f"{p}: not text ({want_err.value.reason} at byte 1500000)"
+
+
+def test_lines_split_on_newline_only(tmp_path):
+    p = tmp_path / "y.txt"
+    # a form feed is no line break: "1\x0c2" is one label that does not parse
+    p.write_text("1\x0c2\n3\n")
+    with pytest.raises(ParseError, match=r"unparseable label at line 1$"):
+        load_labels(p)
+    p.write_bytes(b"1\r\n2\r\n\r\n3\r\n")
+    assert load_labels(p).labels.tolist() == [1, 2, 3]
+    # line numbers run on across reads: the bad label sits past the first
+    # READ_BYTES, after a line that holds only \x1c, a blank one to str.strip
+    p.write_text("1\n" * 150_000 + "\x1c\n" + "1\n" * 150_000 + "x\n")
+    assert p.stat().st_size > READ_BYTES
+    with pytest.raises(ParseError, match=r"unparseable label at line 300002$"):
+        load_labels(p)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,7 +1,10 @@
+import ast
 import math
 from decimal import Decimal, getcontext
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from logitlab import surrogate as sg
@@ -24,37 +27,46 @@ def _coeffs_decimal(beta: float, n: int, sign: int):
     kappa = (1 + a) / (1 - b) * (1 + 2 * (1 - a) * (1 - b) / (1 + a)).sqrt()
     g = -(1 - b) / (1 - a) * (1 + sign * kappa)
     psi = 2 * ((-bb).exp() / (1 - a) * g - (1 + a) / (1 - b))
-    return float(g), float(kappa), float(psi)
+    return float(g), float(psi)
+
+
+def _forms(beta: float, n: int, case: str, branch: str = "plus"):
+    """The printed (true, other) coefficients at beta, admissible or not."""
+    return tuple(float(v) for v in sg._closed_forms(beta, n, case, branch)[:2])
+
+
+def _coefficients(beta: float, n: int, case: str, branch: str = "plus"):
+    return sg.coefficients(sg.SurrogateSpec(n, beta, case, branch))
 
 
 # ---------- closed-form coefficients ----------
 
 def test_f_limits_at_large_beta():
-    assert abs(sg.f_pm(40.0, 10, "plus")) < 1e-12
-    assert sg.f_pm(40.0, 10, "minus") == pytest.approx(-2.0, abs=1e-12)
+    assert abs(_coefficients(40.0, 10, "correct", "plus")[0]) < 1e-12
+    assert _coefficients(40.0, 10, "correct", "minus")[0] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_f_extended_precision_oracle():
     for beta in (1.0, 3.0, 5.0, 8.0):
         for n in (4, 10, 100):
             for branch, sign in (("plus", 1), ("minus", -1)):
-                assert sg.f_pm(beta, n, branch) == pytest.approx(
-                    _f_pm_decimal(beta, n, sign), rel=1e-13
+                assert _forms(beta, n, "correct", branch) == pytest.approx(
+                    (_f_pm_decimal(beta, n, sign),) * 2, rel=1e-13
                 )
 
 
 def test_f_pole():
-    with pytest.raises(sg.DomainError):
-        sg.f_pm(math.log(9), 10)
+    for branch in ("plus", "minus"):
+        with pytest.raises(sg.DomainError):
+            _coefficients(math.log(9), 10, "correct", branch)
 
 
 def test_misclassified_limits_at_large_beta():
     # algebraic limits of the printed formulas: kappa -> sqrt(3),
     # g+- -> -(1 +- sqrt(3)), psi+- -> -2
-    g_p, kappa, psi_p = sg.misclassified_coeffs(40.0, 10, "plus")
-    g_m, _, psi_m = sg.misclassified_coeffs(40.0, 10, "minus")
+    g_p, psi_p = _coefficients(40.0, 10, "misclassified", "plus")
+    g_m, psi_m = _coefficients(40.0, 10, "misclassified", "minus")
     s3 = math.sqrt(3.0)
-    assert kappa == pytest.approx(s3, abs=1e-10)
     assert g_p == pytest.approx(-(1 + s3), abs=1e-10)
     assert g_m == pytest.approx(s3 - 1, abs=1e-10)
     assert psi_p == pytest.approx(-2.0, abs=1e-10)
@@ -65,17 +77,16 @@ def test_misclassified_extended_precision_oracle():
     for beta in (4.0, 5.0, 8.0):
         for n in (4, 10, 100):
             for branch, sign in (("plus", 1), ("minus", -1)):
-                got = sg.misclassified_coeffs(beta, n, branch)
-                want = _coeffs_decimal(beta, n, sign)
-                for a, b in zip(got, want):
-                    assert a == pytest.approx(b, rel=1e-12)
+                assert _forms(beta, n, "misclassified", branch) == pytest.approx(
+                    _coeffs_decimal(beta, n, sign), rel=1e-12
+                )
 
 
 def test_misclassified_poles():
     with pytest.raises(sg.DomainError):
-        sg.misclassified_coeffs(math.log(7), 10)
+        _coefficients(math.log(7), 10, "misclassified")
     with pytest.raises(sg.DomainError):
-        sg.misclassified_coeffs(math.log(9), 10)
+        _coefficients(math.log(9), 10, "misclassified")
 
 
 @pytest.mark.filterwarnings("error")
@@ -85,7 +96,7 @@ def test_n3_misclassified_coeffs_are_the_forms_without_the_n3_factor():
     kappa = (1 + a) * math.sqrt(1 + 2 * (1 - a) / (1 + a))
     g = -(1 + kappa) / (1 - a)
     psi = 2 * (math.exp(-5.0) / (1 - a) * g - (1 + a))
-    assert sg.misclassified_coeffs(5.0, 3) == pytest.approx((g, kappa, psi), rel=1e-14)
+    assert _coefficients(5.0, 3, "misclassified") == pytest.approx((g, psi), rel=1e-14)
 
 
 # ---------- admissibility ----------
@@ -115,11 +126,11 @@ def test_threshold_correct_case_unconstrained_above_pole():
 
 def test_surrogate_logit_patterns():
     z = sg.surrogate_logit(sg.SurrogateSpec(10, 5.0, "correct", "plus"), 0, 0)
-    f = sg.f_pm(5.0, 10, "plus")
+    f, _ = sg.printed_coefficients(5.0, 10, "correct", "plus")
     assert z[0] == 5.0
     assert np.allclose(z[1:], f)
     z = sg.surrogate_logit(sg.SurrogateSpec(10, 5.0, "misclassified", "plus"), 1, 0)
-    g, _, psi = sg.misclassified_coeffs(5.0, 10, "plus")
+    g, psi = sg.printed_coefficients(5.0, 10, "misclassified", "plus")
     assert z[0] == 5.0
     assert z[1] == g
     assert np.allclose(z[2:], psi)
@@ -177,9 +188,9 @@ def test_ansatz_rows_match_the_hand_assembly(n_wrong):
 
 
 def test_coefficients_refusals():
-    assert sg.coefficients(sg.SurrogateSpec(10, 5.0, "correct")) == (sg.f_pm(5.0, 10),) * 2
-    g, _, psi = sg.misclassified_coeffs(5.0, 10)
-    assert sg.coefficients(sg.SurrogateSpec(10, 5.0, "misclassified")) == (g, psi)
+    for case in ("correct", "misclassified"):
+        want = sg.printed_coefficients(np.array([5.0]), 10, case)
+        assert sg.coefficients(sg.SurrogateSpec(10, 5.0, case)) == tuple(v[0] for v in want)
     with pytest.raises(sg.DomainError, match=r"^beta at pole ln\(N-1\) = ln\(9\)$"):
         sg.coefficients(sg.SurrogateSpec(10, math.log(9), "correct"))
     with pytest.raises(sg.DomainError, match=r"^negative discriminant at beta=-3.0, N=10$"):
@@ -238,41 +249,107 @@ def test_truncated_ce_fourth_order_convergence():
     assert e1 / e2 > 12.0  # quartic remainder: halving u shrinks error ~16x
 
 
-def test_truncated_ce_grad_matches_fd():
-    beta, n, y = 4.0, 8, 2
+# ---------- test oracles (tests/oracles.py) ----------
+
+def _oracle_points():
+    """(beta, argmax k, true class y, u) for N in {3, 4, 10}, the correct
+    case and the misclassified one in several class layouts, u at least 0.5
+    below beta so each stencil step below keeps the argmax."""
     rng = np.random.default_rng(3)
-    u = rng.standard_normal(n) * 0.2
-    u[5] = 0.0
-    z = np.zeros(n)
-    z[5] = beta
-    z = z + u
-    g = sg.truncated_ce_grad(z, y)
-    h = 1e-6
-    for i in range(n):
-        if i == 5:
-            continue
-        e = np.zeros(n)
-        e[i] = h
-        fd = (sg.truncated_ce(z + e, y) - sg.truncated_ce(z - e, y)) / (2 * h)
-        assert g[i] == pytest.approx(fd, abs=1e-7)
+    for n in (3, 4, 10):
+        for (y, k), beta in zip(((0, 0), (n - 1, n - 1), (1, 0), (0, n - 1), (n - 1, 1)),
+                                (0.5, 3.0, 8.0, 3.0, 0.5)):
+            u = np.minimum(rng.standard_normal(n), beta - 0.5)
+            u[k] = 0.0
+            yield beta, k, y, u
 
 
-# ---------- brute-force oracle ----------
+def _stencil(z: np.ndarray, y: int, d: np.ndarray, order: int, h: float = 1e-2) -> float:
+    """Five-point stencil of the first or second derivative of truncated_ce
+    along d. The loss is cubic in the non-argmax coordinates, so both are
+    exact up to rounding."""
+    f = [sg.truncated_ce(z + s * h * d, y) for s in (-2, -1, 0, 1, 2)]
+    if order == 1:
+        return (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
+    return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+
+
+def _stencil_gradient(z: np.ndarray, y: int, k: int, h: float = 1e-2) -> np.ndarray:
+    e = np.eye(z.size)
+    return np.array([0.0 if j == k else _stencil(z, y, e[j], 1, h) for j in range(z.size)])
+
+
+def test_truncated_ce_grad_matches_fd():
+    # the oracle's gradient against a five-point stencil of truncated_ce
+    for beta, k, y, u in _oracle_points():
+        g = oracles.gradient(beta, k, y, u)
+        g[k] = 0.0
+        assert np.abs(g - _stencil_gradient(u + beta * (np.arange(u.size) == k), y, k)).max() < 1e-8
+
+
+def test_oracle_loss_and_hessian_match_truncated_ce():
+    # the oracle's loss is truncated_ce; its Hessian over the non-argmax
+    # coordinates is the stencil's second derivative along e_i, and along
+    # e_i +- e_j by polarisation
+    for beta, k, y, u in _oracle_points():
+        z = u + beta * (np.arange(u.size) == k)
+        assert oracles.loss(beta, k, y, u) == pytest.approx(sg.truncated_ce(z, y), rel=1e-12)
+        e = np.eye(u.size)
+        hess = oracles.hessian(beta, k, u, e)
+        rest = [i for i in range(u.size) if i != k]
+        for i in rest:
+            for j in rest:
+                want = (_stencil(z, y, e[i], 2) if i == j else
+                        (_stencil(z, y, e[i] + e[j], 2) - _stencil(z, y, e[i] - e[j], 2)) / 4)
+                assert abs(hess[i, j] - want) < 1e-8
+
+
+def _private_logitlab_names(source: str) -> list[str]:
+    """The _-prefixed names source imports from logitlab, or reads off a
+    logitlab module it imports."""
+    tree = ast.parse(source)
+    found, bound = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "logitlab":
+            found += [p for p in node.module.split(".") if p.startswith("_")]
+            found += [a.name for a in node.names if a.name.startswith("_")]
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "logitlab":
+                    found += [p for p in a.name.split(".") if p.startswith("_")]
+                    bound.add(a.asname or a.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(node.attr)
+    return found
+
+
+def test_oracles_import_no_private_name_from_logitlab():
+    # the oracle must not share the code it checks
+    assert _private_logitlab_names(Path(oracles.__file__).read_text()) == []
+    for source in ("from logitlab.surrogate import _grad", "import logitlab._x",
+                   "from logitlab import surrogate as s\ns._form(1, 2)",
+                   "import logitlab.surrogate\nlogitlab.surrogate._expansion"):
+        assert _private_logitlab_names(source)
+
 
 def test_brute_force_finds_true_stationary_points():
     # independent check that the finder is sound: every returned point has a
-    # vanishing projected analytic gradient and obeys the S-set constraint
+    # vanishing five-point projected gradient of truncated_ce and obeys the
+    # S-set constraint
     beta, n = 0.5, 10
-    pts = sg.brute_force_stationary(beta, n, "correct", 0, 0, n_inits=48, seed=1)
+    pts = oracles.brute_force_stationary(beta, n, 0, 0, n_inits=48, seed=1)
     assert pts
     for u in pts:
-        z = np.zeros(n)
-        z[0] = beta
-        g = sg.truncated_ce_grad(z + u, 0)
-        g[0] = 0.0
-        assert np.linalg.norm(g) < 1e-9
         assert u.max() < beta
         assert abs(u[0]) < 1e-12
+        h = min(1e-2, (beta - u.max()) / 4)
+        assert np.linalg.norm(_stencil_gradient(u + beta * (np.arange(n) == 0), 0, 0, h)) < 1e-9
 
 
 def test_brute_force_recovers_symmetric_quadratic_root():
@@ -283,16 +360,27 @@ def test_brute_force_recovers_symmetric_quadratic_root():
     beta, n = 0.5, 10
     a = math.exp(-beta) * (n - 1)
     f_true = (1 + a) / (1 - a) * (-1 + math.sqrt(2 * a - 1))
-    pts = sg.brute_force_stationary(beta, n, "correct", 0, 0, n_inits=64, seed=2)
+    pts = oracles.brute_force_stationary(beta, n, 0, 0, n_inits=64, seed=2)
     symmetric = [u for u in pts if np.allclose(u[1:], u[1], atol=1e-8)]
     assert symmetric, "symmetric stationary point not found"
     assert symmetric[0][1] == pytest.approx(f_true, abs=1e-8)
 
 
+def test_brute_force_deterministic():
+    a = oracles.brute_force_stationary(0.5, 6, 0, 0, n_inits=16, seed=5)
+    b = oracles.brute_force_stationary(0.5, 6, 0, 0, n_inits=16, seed=5)
+    assert len(a) == len(b)
+    for u, v in zip(a, b):
+        assert np.array_equal(u, v)
+
+
 # ---------- exact stationary points on the symmetric ansatz ----------
 
 def _projected_grad_norm(z: np.ndarray, y: int, k: int) -> float:
-    g = sg.truncated_ce_grad(z, y)
+    """Norm of the oracle's gradient of the truncated loss over the
+    non-argmax coordinates, at beta and argmax read off z."""
+    beta = z[k]
+    g = oracles.gradient(beta, k, y, z - beta * (np.arange(z.size) == k))
     g[k] = 0.0
     return float(np.linalg.norm(g))
 
@@ -354,14 +442,6 @@ def test_symmetric_stationary_contradictions():
         sg.symmetric_stationary(1.0, 2, "misclassified", 1, 0)
 
 
-def test_brute_force_deterministic():
-    a = sg.brute_force_stationary(0.5, 6, "correct", 0, 0, n_inits=16, seed=5)
-    b = sg.brute_force_stationary(0.5, 6, "correct", 0, 0, n_inits=16, seed=5)
-    assert len(a) == len(b)
-    for u, v in zip(a, b):
-        assert np.array_equal(u, v)
-
-
 # ---------- mean-field surface ----------
 
 def test_surface_constant_in_beta_wrong_at_zero_error():
@@ -409,7 +489,7 @@ def test_shrinkage_quadratic_scaling_of_first_term():
     from scipy.optimize import brentq
 
     n = 10
-    gap = lambda b: b - sg.f_pm(b, n, "plus")
+    gap = lambda b: b - _coefficients(b, n, "correct", "plus")[0]
     b1 = 4.0
     b2 = brentq(lambda b: gap(b) - 2 * gap(b1), 5.0, 12.0, xtol=1e-14)
     v1 = sg.gap_shrinkage(_params(bc=b1), 1.0, 0.0)
@@ -475,12 +555,8 @@ def test_grid_evaluators_match_per_beta_reference(n, branch):
             if not b_ok:
                 loss.append(float("nan"))
                 continue
-            if case == "correct":
-                assert t == o == sg.f_pm(float(b), n, branch)
-            else:
-                g, _, psi = sg.misclassified_coeffs(float(b), n, branch)
-                assert (t, o) == (g, psi)
             spec = sg.SurrogateSpec(n, float(b), case, branch)
+            assert (t, o) == sg.coefficients(spec)
             loss.append(sg.exact_ce(sg.surrogate_logit(spec, true_class, 0), true_class))
         ref[case] = ok, loss
     assert any(ref["correct"][0]) and any(ref["misclassified"][0])
