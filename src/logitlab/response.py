@@ -1,15 +1,17 @@
 """Random-matrix linear response for the input-to-logit map.
 
-The map is defined as the minimum-norm-constrained least-squares fit of
-target logits Z_tilde (plus small Gaussian noise sigma0*W) by linear readout
-of input features X: omega = [X^T X - lambda* I]^{-1} X^T (Z_tilde - sigma0 W)
-with the Lagrange multiplier lambda* pinned by a trace equation. From the
-closed-form solution we get per-sample Jacobians, their Gram matrices, and
-the first-order logit response to a gradient-direction (FGSM) attack. All of
-them come from one eigendecomposition of the smaller Gram matrix, X^T X or
-X X^T. Omega(X, lambda*) = X R^2 X^T is applied to a few columns at a time
-from those eigenpairs, and its diagonal is summed one block of rows at a
-time, so no N_data x rank matrix is formed beside X.
+The map is the minimum-norm-constrained least-squares fit of target logits
+Z_tilde (plus small Gaussian noise sigma0*W) by linear readout of input
+features X: omega = [X^T X - lambda* I]^{-1} X^T (Z_tilde - sigma0 W), with
+the Lagrange multiplier lambda* pinned by a trace equation. A ResponseProblem
+is the fit (X, Z_tilde, labels, sigma0, c); on first use it computes, once
+each, the eigendecomposition of the smaller Gram matrix (X^T X or X X^T),
+lambda* and the unscaled FGSM attack. omega, the per-sample Jacobians and
+their Gram matrices, and the first-order logit response come from those,
+each from a function of the problem and the one argument it reads: the
+noise seed, mu or epsilon. Omega(X, lambda*) = X R^2 X^T is applied to a
+few columns at a time from the eigenpairs, and its diagonal is summed one
+block of rows at a time, so no N_data x rank matrix is formed beside X.
 
 lambda* is found by ``brentq``, a plain-Python port of scipy's Brent solver
 that returns the same float as ``scipy.optimize.brentq``, so neither importing
@@ -133,8 +135,6 @@ class ResponseProblem:
     labels: LabelVector
     sigma0: float = 1e-3
     c: float = 1.0
-    epsilon: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         x = np.asarray(self.X, dtype=np.float64)
@@ -147,9 +147,8 @@ class ResponseProblem:
         if np.abs(norms - 1.0).max() > 1e-12:
             i = int(np.argmax(np.abs(norms - 1.0)))
             raise ResponseError(f"row {i} of X is not unit-normalized")
-        if not (0 <= self.sigma0 < np.inf and 0 < self.c < np.inf
-                and 0 <= self.epsilon < np.inf):
-            raise ResponseError("finite sigma0 >= 0, c > 0, epsilon >= 0 required")
+        if not (0 <= self.sigma0 < np.inf and 0 < self.c < np.inf):
+            raise ResponseError("finite sigma0 >= 0, c > 0 required")
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Z_tilde", z)
 
@@ -161,12 +160,16 @@ class ResponseProblem:
         wide = x.shape[0] < x.shape[1]
         return GramSpectrum(*np.linalg.eigh(x @ x.T if wide else x.T @ x), wide=wide)
 
+    @cached_property
+    def lambda_star(self) -> float:
+        """The constraint's multiplier, solved on first use; the helpers read it
+        before the spectrum, so the eigendecomposition runs in solve_lambda_star."""
+        return solve_lambda_star(self)
 
-@dataclass(frozen=True)
-class FyodorovSolution:
-    omega: np.ndarray       # N_feats x N_classes
-    lambda_star: float
-    W: np.ndarray           # N_data x N_classes
+    @cached_property
+    def attack(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every sample's JJ^T_mu g_mu and zeta_mu, before epsilon scales them."""
+        return _attack(self)
 
 
 def _xv(problem: ResponseProblem, w: np.ndarray) -> np.ndarray:
@@ -185,24 +188,25 @@ def _xv_t(problem: ResponseProblem, y: np.ndarray) -> np.ndarray:
     return spec.v.T @ (problem.X.T @ y)
 
 
-def _resolvent_xt(problem: ResponseProblem, lam: float, y: np.ndarray) -> np.ndarray:
-    """R X^T y with the resolvent R = [X^T X - lam I]^{-1}."""
-    spec = problem.spectrum
+def _resolvent_xt(problem: ResponseProblem, y: np.ndarray) -> np.ndarray:
+    """R X^T y with the resolvent R = [X^T X - lambda* I]^{-1}."""
+    lam, spec = problem.lambda_star, problem.spectrum
     scale = (1.0 / (spec.d - lam))[:, None]
-    if spec.wide:  # push-through: R X^T = X^T [X X^T - lam I]^{-1}
+    if spec.wide:  # push-through: R X^T = X^T [X X^T - lambda* I]^{-1}
         return problem.X.T @ (spec.v @ (scale * (spec.v.T @ y)))
     return spec.v @ (scale * _xv_t(problem, y))
 
 
-def _omega(problem: ResponseProblem, lam: float, y: np.ndarray) -> np.ndarray:
-    """Omega(X, lam) y with Omega = X R^2 X^T = (X V) (D - lam)^{-2} (X V)^T."""
-    scale = (1.0 / (problem.spectrum.d - lam) ** 2)[:, None]
+def _omega(problem: ResponseProblem, y: np.ndarray) -> np.ndarray:
+    """Omega y with Omega = X R^2 X^T = (X V) (D - lambda*)^{-2} (X V)^T."""
+    lam, spec = problem.lambda_star, problem.spectrum
+    scale = (1.0 / (spec.d - lam) ** 2)[:, None]
     return _xv(problem, scale * _xv_t(problem, y))
 
 
-def _omega_diag(problem: ResponseProblem, lam: float) -> np.ndarray:
-    """diag Omega(X, lam), from one block of rows of X V at a time."""
-    spec = problem.spectrum
+def _omega_diag(problem: ResponseProblem) -> np.ndarray:
+    """diag Omega, from one block of rows of X V at a time."""
+    lam, spec = problem.lambda_star, problem.spectrum
     scale = 1.0 / (spec.d - lam) ** 2
     n_data, rank = problem.X.shape[0], spec.d.size
     root_d = spec.root_d()
@@ -263,46 +267,36 @@ def solve_lambda_star(problem: ResponseProblem) -> float:
     return float(lam)
 
 
-def fyodorov_omega(problem: ResponseProblem) -> FyodorovSolution:
-    """Seeded noise draw, multiplier solve, and the closed-form readout."""
+def fyodorov_omega(problem: ResponseProblem, seed: int) -> np.ndarray:
+    """The closed-form readout omega, N_feats x N_classes, for the noise
+    W = substream(seed, 0).standard_normal(Z_tilde.shape)."""
     z = problem.Z_tilde
-    rng = substream(problem.seed, 0)
-    w = rng.standard_normal(z.shape)
-    lam = solve_lambda_star(problem)
-    omega = _resolvent_xt(problem, lam, z - problem.sigma0 * w)
-    return FyodorovSolution(omega=omega, lambda_star=lam, W=w)
+    w = substream(seed, 0).standard_normal(z.shape)
+    return _resolvent_xt(problem, z - problem.sigma0 * w)
 
 
-def _check_sample(problem: ResponseProblem, mu: int) -> None:
-    if not (0 <= mu < problem.X.shape[0]):
-        raise ResponseError(f"sample index {mu} out of range")
-
-
-def jacobian_block(
-    sol: FyodorovSolution, problem: ResponseProblem, mu: int
-) -> np.ndarray:
+def jacobian_block(problem: ResponseProblem, mu: int) -> np.ndarray:
     """Jacobian of the mu-th sample's input-to-logit map, N_classes x N_feats.
 
     Entry (m, j) = (R X^T)_{j mu} z~^mu_m + (Z~^T X R)_{m j}, with the
     resolvent R = [X^T X - lambda* I]^{-1} held fixed.
     """
     z = problem.Z_tilde
-    _check_sample(problem, mu)
+    if not (0 <= mu < z.shape[0]):
+        raise ResponseError(f"sample index {mu} out of range")
     e_mu = np.zeros((z.shape[0], 1))
     e_mu[mu] = 1.0
-    rxt = _resolvent_xt(problem, sol.lambda_star, np.hstack([e_mu, z]))
+    rxt = _resolvent_xt(problem, np.hstack([e_mu, z]))
     return np.outer(z[mu], rxt[:, 0]) + rxt[:, 1:].T
 
 
-def jj_transpose(
-    sol: FyodorovSolution, problem: ResponseProblem, mu: int
-) -> np.ndarray:
+def jj_transpose(problem: ResponseProblem, mu: int) -> np.ndarray:
     """Gram matrix Jac^mu (Jac^mu)^T of the mu-th sample's Jacobian."""
-    jac = jacobian_block(sol, problem, mu)
+    jac = jacobian_block(problem, mu)
     return jac @ jac.T
 
 
-def _attack(problem: ResponseProblem, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def _attack(problem: ResponseProblem) -> tuple[np.ndarray, np.ndarray]:
     """For every sample, JJ^T_mu g_mu and zeta_mu.
 
     g_mu = softmax(z~^mu) - y^mu is the attack gradient and JJ^T_mu g_mu =
@@ -312,10 +306,10 @@ def _attack(problem: ResponseProblem, lam: float) -> tuple[np.ndarray, np.ndarra
     """
     z = problem.Z_tilde
     g = softmax(z) - np.eye(z.shape[1])[problem.labels.labels]
-    b = _omega(problem, lam, z)  # row mu is b_mu
+    b = _omega(problem, z)  # row mu is b_mu
     zg = np.einsum("ij,ij->i", z, g)
     jjg = (
-        (_omega_diag(problem, lam) * zg)[:, None] * z
+        (_omega_diag(problem) * zg)[:, None] * z
         + g @ (z.T @ b)
         + np.einsum("ij,ij->i", b, g)[:, None] * z
         + zg[:, None] * b
@@ -327,17 +321,17 @@ def _attack(problem: ResponseProblem, lam: float) -> tuple[np.ndarray, np.ndarra
     return jjg, zeta
 
 
-def fgsm_logit_response(
-    sol: FyodorovSolution, problem: ResponseProblem
-) -> np.ndarray:
+def fgsm_logit_response(problem: ResponseProblem, epsilon: float) -> np.ndarray:
     """First-order per-sample logit shift under a normalized FGSM attack.
 
     delta z^mu = epsilon * zeta_mu * JJ^T_mu * (softmax(z~^mu) - y^mu) with
     zeta_mu = 1/sqrt(g^T JJ^T g). Samples with zero attack gradient get a
-    zero row.
+    zero row. Each epsilon scales the problem's one cached attack.
     """
-    jjg, zeta = _attack(problem, sol.lambda_star)
-    return problem.epsilon * zeta[:, None] * jjg
+    if not 0 <= epsilon < math.inf:
+        raise ResponseError(f"finite epsilon >= 0 required, got {epsilon!r}")
+    jjg, zeta = problem.attack
+    return epsilon * zeta[:, None] * jjg
 
 
 def gap_shift_experiment(
@@ -379,16 +373,11 @@ def gap_shift_experiment(
     z = ansatz_rows(np.where(wrong, params.beta_wrong, params.beta_correct),
                     np.where(wrong, g, f), np.where(wrong, psi, f), n, labels, argmax)
 
-    problem = ResponseProblem(
-        X=x, Z_tilde=z, labels=LabelVector(labels),
-        sigma0=sigma0, c=c, epsilon=epsilon, seed=seed,
-    )
-    lam = solve_lambda_star(problem)
-    jjg, zeta = _attack(problem, lam)
+    problem = ResponseProblem(X=x, Z_tilde=z, labels=LabelVector(labels), sigma0=sigma0, c=c)
     # a huge epsilon overflows the attacked logits or their measurement; both
     # are refused below, so numpy need not warn of the overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        attacked = z + epsilon * zeta[:, None] * jjg
+        attacked = z + fgsm_logit_response(problem, epsilon)
         if first_non_finite(attacked) is not None:
             raise ResponseError(
                 f"epsilon = {epsilon:g} puts the attacked logits beyond float range")
@@ -403,9 +392,9 @@ def gap_shift_experiment(
 
     # Omega aggregation: row-mu sums of Omega(X, lambda*) over correctly and
     # incorrectly labeled nu, scaled by epsilon*zeta_mu and averaged over mu.
-    sum_correct, sum_wrong = _omega(
-        problem, lam, np.column_stack([correct_mask, wrong]).astype(np.float64)
-    ).T
+    cases = np.column_stack([correct_mask, wrong]).astype(np.float64)
+    sum_correct, sum_wrong = _omega(problem, cases).T
+    _, zeta = problem.attack
     eps_err = params.error_rate
     w_c = epsilon * np.mean(zeta * sum_correct)
     w_w = epsilon * np.mean(zeta * sum_wrong)

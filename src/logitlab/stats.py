@@ -283,6 +283,8 @@ def within_class_permuted_overlap(
 
 def cosine_neighbors(m: LogitMatrix, seed_row: int, n: int) -> list[tuple[int, float]]:
     """The n rows most cosine-similar to the seed row, descending, ties by index."""
+    if n < 0:
+        raise StatsError(f"n must be >= 0, got {n}")
     if not (0 <= seed_row < m.rows):
         raise StatsError(f"seed_row {seed_row} out of range")
     v = m.values[seed_row]

@@ -18,7 +18,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -297,7 +297,8 @@ def _adopt(arr: np.ndarray) -> LogitMatrix:
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(i, line) for each non-blank line of a UTF-8 text file, split on "\\n"
     or "\\r\\n" only and i counting every line from 1, as an editor does;
-    decodes READ_BYTES of whole lines at a time."""
+    a blank line holds only spaces and tabs, so a line of other whitespace
+    reaches its parser. Decodes READ_BYTES of whole lines at a time."""
     i = 1
     try:
         with open(path, "rb") as f:
@@ -311,7 +312,7 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
                 if not lines[-1]:  # the empty piece after the final newline
                     lines.pop()
-                yield from compress(zip(count(i), lines), map(str.strip, lines))
+                yield from compress(zip(count(i), lines), map(str.strip, lines, repeat(" \t")))
                 i += len(lines)
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e

@@ -348,9 +348,9 @@ def test_cli_reproducible_responses(tmp_path):
     (["response", "--error-rate", "1", "--beta-correct", "-0.5", "--n-data", "20",
       "--n-feats", "10"], 4, "beta=-0.5 is inadmissible for case=correct, branch=plus, N=10"),
     (["response", "--epsilon", "nan", "--n-data", "20", "--n-feats", "10"], 4,
-     "finite sigma0 >= 0, c > 0, epsilon >= 0 required"),
+     "finite epsilon >= 0 required, got nan"),
     (["response", "--c", "inf", "--n-data", "20", "--n-feats", "10"], 4,
-     "finite sigma0 >= 0, c > 0, epsilon >= 0 required"),
+     "finite sigma0 >= 0, c > 0 required"),
     (["mftma", "--manifolds", "{d}/manifolds.txt", "--n-samples", "5", "--empirical",
       "--n-dichotomies", "0"], 4, "n_dichotomies must be >= 1"),
     (["manipulate", "--logits", "{d}/m.lgt", "--kind", "fix_k_permute", "--k", "2",

@@ -7,18 +7,18 @@ from scipy.optimize import brentq as scipy_brentq
 
 from logitlab import response as rp
 from logitlab import surrogate as sg
+from logitlab.rng import substream
 from logitlab.stats import softmax
 from logitlab.store import BLOCK_VALUES, LabelVector
 
 
-def _problem(n_data=20, n_feats=8, n_classes=5, sigma0=1e-3, c=1.0, eps=0.1, seed=0):
+def _problem(n_data=20, n_feats=8, n_classes=5, sigma0=1e-3, c=1.0, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_data, n_feats))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     z = rng.standard_normal((n_data, n_classes))
     labels = LabelVector(rng.integers(0, n_classes, n_data))
-    return rp.ResponseProblem(X=x, Z_tilde=z, labels=labels, sigma0=sigma0,
-                              c=c, epsilon=eps, seed=seed)
+    return rp.ResponseProblem(X=x, Z_tilde=z, labels=labels, sigma0=sigma0, c=c)
 
 
 def test_problem_validation():
@@ -54,7 +54,7 @@ def _trace_residual(p, lam):
 
 def test_lambda_star_residual():
     p = _problem()
-    assert _trace_residual(p, rp.fyodorov_omega(p).lambda_star) < 1e-8
+    assert _trace_residual(p, p.lambda_star) < 1e-8
 
 
 def test_lambda_star_orthonormal_closed_form():
@@ -75,8 +75,6 @@ def test_lambda_star_orthonormal_closed_form():
     object.__setattr__(p, "labels", labels)
     object.__setattr__(p, "sigma0", sigma0)
     object.__setattr__(p, "c", 1.0)
-    object.__setattr__(p, "epsilon", 0.0)
-    object.__setattr__(p, "seed", 0)
     lam = rp.solve_lambda_star(p)
     tr0 = np.trace(q @ q.T @ (z @ z.T + sigma0**2 * np.eye(n_data)))
     expect = 1.0 - np.sqrt(tr0 / (n_feats * n_classes))
@@ -88,7 +86,7 @@ def test_lambda_star_monotone_in_c():
     lams = []
     for c in (0.5, 1.0, 2.0):
         q = rp.ResponseProblem(X=p.X, Z_tilde=p.Z_tilde, labels=p.labels,
-                               sigma0=p.sigma0, c=c, epsilon=0.1, seed=p.seed)
+                               sigma0=p.sigma0, c=c)
         lams.append(rp.solve_lambda_star(q))
     assert lams[0] < lams[1] < lams[2]
 
@@ -180,28 +178,29 @@ def test_identity_design_recovers_targets():
     c = np.linalg.norm(z) / np.sqrt(n * 4)  # puts lambda* at exactly 0
     p = rp.ResponseProblem(X=np.eye(n), Z_tilde=z,
                            labels=LabelVector(np.zeros(n, dtype=int)),
-                           sigma0=0.0, c=c, epsilon=0.0, seed=0)
-    sol = rp.fyodorov_omega(p)
-    assert abs(sol.lambda_star) < 1e-9
-    assert np.allclose(sol.omega, z, atol=1e-9)
-    assert np.allclose(p.X @ sol.omega, z, atol=1e-9)
+                           sigma0=0.0, c=c)
+    omega = rp.fyodorov_omega(p, 0)
+    assert abs(p.lambda_star) < 1e-9
+    assert np.allclose(omega, z, atol=1e-9)
+    assert np.allclose(p.X @ omega, z, atol=1e-9)
 
 
 def test_omega_matches_direct_solve():
+    # W is the first draw of substream(seed, 0), as the rng contract fixes it
     p = _problem()
-    sol = rp.fyodorov_omega(p)
-    gram = p.X.T @ p.X - sol.lambda_star * np.eye(p.X.shape[1])
-    direct = np.linalg.solve(gram, p.X.T @ (p.Z_tilde - p.sigma0 * sol.W))
-    assert np.abs(sol.omega - direct).max() < 1e-10
+    w = substream(7, 0).standard_normal(p.Z_tilde.shape)
+    gram = p.X.T @ p.X - p.lambda_star * np.eye(p.X.shape[1])
+    direct = np.linalg.solve(gram, p.X.T @ (p.Z_tilde - p.sigma0 * w))
+    assert np.abs(rp.fyodorov_omega(p, 7) - direct).max() < 1e-10
 
 
 def test_omega_norm_matches_constraint():
     # the trace equation pins E_W ||omega||^2 = c^2 N_f N_c; with a concrete
     # noise draw the realized norm deviates by O(sigma0)
     p = _problem(sigma0=1e-6)
-    sol = rp.fyodorov_omega(p)
-    n_feats, n_classes = sol.omega.shape
-    assert np.linalg.norm(sol.omega) == pytest.approx(
+    omega = rp.fyodorov_omega(p, 0)
+    n_feats, n_classes = omega.shape
+    assert np.linalg.norm(omega) == pytest.approx(
         p.c * np.sqrt(n_feats * n_classes), rel=1e-5
     )
 
@@ -211,20 +210,20 @@ def test_omega_norm_matches_constraint():
 def test_jacobian_zero_targets():
     p = _problem()
     q = rp.ResponseProblem(X=p.X, Z_tilde=np.zeros_like(p.Z_tilde), labels=p.labels,
-                           sigma0=p.sigma0, c=p.c, epsilon=0.1, seed=p.seed)
-    sol = rp.FyodorovSolution(omega=np.zeros((p.X.shape[1], p.Z_tilde.shape[1])),
-                              lambda_star=-1.0, W=np.zeros_like(p.Z_tilde))
-    jac = rp.jacobian_block(sol, q, 0)
+                           sigma0=p.sigma0, c=p.c)
+    jac = rp.jacobian_block(q, 0)
     assert np.all(jac == 0)
 
 
 def test_jacobian_linearity_in_targets():
+    # doubling Z~, sigma0 and c scales both sides of the trace equation by 4,
+    # a power of two, so lambda* stays bit for bit and R is held fixed
     p = _problem()
-    sol = rp.fyodorov_omega(p)
     p2 = rp.ResponseProblem(X=p.X, Z_tilde=2 * p.Z_tilde, labels=p.labels,
-                            sigma0=p.sigma0, c=p.c, epsilon=p.epsilon, seed=p.seed)
-    j1 = rp.jacobian_block(sol, p, 3)
-    j2 = rp.jacobian_block(sol, p2, 3)
+                            sigma0=2 * p.sigma0, c=2 * p.c)
+    assert p2.lambda_star == p.lambda_star
+    j1 = rp.jacobian_block(p, 3)
+    j2 = rp.jacobian_block(p2, 3)
     assert np.allclose(j2, 2 * j1, atol=1e-12)
 
 
@@ -232,11 +231,10 @@ def test_jacobian_finite_difference_oracle():
     # map x^mu -> z^mu = Z~^T X R x^mu with the resolvent R held fixed at
     # lambda*; sigma0 ~ 0 so the noise term drops out
     p = _problem(sigma0=1e-12)
-    sol = rp.fyodorov_omega(p)
     x, z = p.X.copy(), p.Z_tilde
-    r = np.linalg.inv(x.T @ x - sol.lambda_star * np.eye(x.shape[1]))
+    r = np.linalg.inv(x.T @ x - p.lambda_star * np.eye(x.shape[1]))
     for mu in (0, 5):
-        jac = rp.jacobian_block(sol, p, mu)
+        jac = rp.jacobian_block(p, mu)
         h = 1e-6
         fd = np.zeros_like(jac)
         for j in range(x.shape[1]):
@@ -260,13 +258,12 @@ def test_jj_transpose_product_symmetry_psd():
     # JJ^T_mu = Omega_mumu z z^T + Z~^T Omega Z~ + z b^T + b z^T with
     # b = Z~^T Omega[:, mu], the form _attack applies to every sample at once
     p = _problem()
-    sol = rp.fyodorov_omega(p)
-    omega, z = _dense_omega(p, sol.lambda_star), p.Z_tilde
+    omega, z = _dense_omega(p, p.lambda_star), p.Z_tilde
     for mu in range(5):
         b = z.T @ omega[:, mu]
         expect = (omega[mu, mu] * np.outer(z[mu], z[mu]) + z.T @ omega @ z
                   + np.outer(z[mu], b) + np.outer(b, z[mu]))
-        jj = rp.jj_transpose(sol, p, mu)
+        jj = rp.jj_transpose(p, mu)
         assert np.abs(jj - expect).max() < 1e-10
         assert np.abs(jj - jj.T).max() < 1e-12
         assert np.linalg.eigvalsh(jj).min() >= -1e-10
@@ -274,23 +271,58 @@ def test_jj_transpose_product_symmetry_psd():
 
 def test_jacobian_index_error():
     p = _problem()
-    sol = rp.fyodorov_omega(p)
-    with pytest.raises(rp.ResponseError):
-        rp.jacobian_block(sol, p, 99)
+    for mu in (20, 99, -1):
+        with pytest.raises(rp.ResponseError, match=f"sample index {mu} out of range"):
+            rp.jacobian_block(p, mu)
 
 
 # ---------- FGSM response ----------
 
 def test_fgsm_zero_epsilon():
-    p = _problem(eps=0.0)
-    sol = rp.fyodorov_omega(p)
-    assert np.all(rp.fgsm_logit_response(sol, p) == 0)
+    assert np.all(rp.fgsm_logit_response(_problem(), 0.0) == 0)
+
+
+def test_fgsm_is_linear_in_epsilon():
+    # the attack is computed once per problem and each epsilon scales it
+    p = _problem()
+    for eps in (1e-3, 0.1, 3.0):
+        assert np.array_equal(rp.fgsm_logit_response(p, 2 * eps),
+                              2 * rp.fgsm_logit_response(p, eps))
+
+
+@pytest.mark.parametrize("eps", [-0.1, -1e-300, math.nan, math.inf, -math.inf])
+def test_fgsm_refuses_bad_epsilon(eps):
+    with pytest.raises(rp.ResponseError, match=r"finite epsilon >= 0 required, got "):
+        rp.fgsm_logit_response(_problem(), eps)
+
+
+def test_each_problem_solves_lambda_star_once(monkeypatch):
+    calls = {"solve": 0, "eigh": 0}
+    solve, eigh = rp.solve_lambda_star, np.linalg.eigh
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rp, "solve_lambda_star", counted("solve", solve))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    params = sg.MeanFieldParams(5.0, 5.0, 10, 0.2)
+    for n in (1, 2):
+        rp.gap_shift_experiment(params, 60, 30, 0.1, seed=n)
+        assert calls == {"solve": n, "eigh": n}
+    p = _problem()
+    for mu in range(p.X.shape[0]):
+        rp.jacobian_block(p, mu)
+    for eps in (0.0, 0.1, 1.0):
+        rp.fgsm_logit_response(p, eps)
+    assert calls == {"solve": 3, "eigh": 3}
 
 
 def test_fgsm_first_order_ascent():
-    p = _problem(eps=1e-3)
-    sol = rp.fyodorov_omega(p)
-    dz = rp.fgsm_logit_response(sol, p)
+    p = _problem()
+    dz = rp.fgsm_logit_response(p, 1e-3)
     for mu in range(p.X.shape[0]):
         y = int(p.labels.labels[mu])
         before = sg.exact_ce(p.Z_tilde[mu], y)
@@ -300,15 +332,14 @@ def test_fgsm_first_order_ascent():
 
 def test_fgsm_normalization():
     # ||Jac^T grad|| = sqrt(g' JJ' g); the shift has magnitude eps along it
-    p = _problem(eps=0.1)
-    sol = rp.fyodorov_omega(p)
-    dz = rp.fgsm_logit_response(sol, p)
+    p, eps = _problem(), 0.1
+    dz = rp.fgsm_logit_response(p, eps)
     mu = 0
     y = np.zeros(p.Z_tilde.shape[1])
     y[p.labels.labels[mu]] = 1.0
     g = softmax(p.Z_tilde[mu]) - y
-    jj = rp.jj_transpose(sol, p, mu)
-    expect = p.epsilon * jj @ g / np.sqrt(g @ jj @ g)
+    jj = rp.jj_transpose(p, mu)
+    expect = eps * jj @ g / np.sqrt(g @ jj @ g)
     assert np.allclose(dz[mu], expect, atol=1e-12)
 
 
@@ -317,17 +348,16 @@ def test_fgsm_rows_match_dense_omega_on_several_row_blocks():
     # 400 make three blocks, the last one ragged
     n_data, n_feats = 700, 400
     assert 2 < n_data / (BLOCK_VALUES // n_feats) < 3
-    p = _problem(n_data=n_data, n_feats=n_feats, eps=0.1)
-    sol = rp.fyodorov_omega(p)
-    dz = rp.fgsm_logit_response(sol, p)
+    p, eps = _problem(n_data=n_data, n_feats=n_feats), 0.1
+    dz = rp.fgsm_logit_response(p, eps)
     z = p.Z_tilde
-    omega = _dense_omega(p, sol.lambda_star)
+    omega = _dense_omega(p, p.lambda_star)
     g = softmax(z) - np.eye(z.shape[1])[p.labels.labels]
     b = omega @ z                       # row mu is Z~^T Omega[:, mu]
     zg = np.einsum("ij,ij->i", z, g)
     jjg = (np.diag(omega) * zg)[:, None] * z + g @ (z.T @ omega @ z) \
         + np.einsum("ij,ij->i", b, g)[:, None] * z + zg[:, None] * b
-    expect = p.epsilon * jjg / np.sqrt(np.einsum("ij,ij->i", g, jjg))[:, None]
+    expect = eps * jjg / np.sqrt(np.einsum("ij,ij->i", g, jjg))[:, None]
     assert np.abs(dz - expect).max() < 1e-10
 
 
@@ -361,21 +391,21 @@ DESIGN_IDS = ["wide_12x30", "square_16x16"]
 @pytest.mark.parametrize("n_data,n_feats,c", DESIGNS, ids=DESIGN_IDS)
 def test_spectral_state_oracles_on_wide_and_square_designs(n_data, n_feats, c):
     p = _problem(n_data=n_data, n_feats=n_feats, c=c, sigma0=1e-12)
-    sol = rp.fyodorov_omega(p)
     x, z = p.X, p.Z_tilde
     n_classes = z.shape[1]
-    gram = x.T @ x - sol.lambda_star * np.eye(n_feats)
+    gram = x.T @ x - p.lambda_star * np.eye(n_feats)
     r = np.linalg.inv(gram)
     # lambda* solves the trace equation
     tr = np.trace(x @ r @ r @ x.T @ (z @ z.T + p.sigma0**2 * np.eye(n_data)))
     target = p.c**2 * n_feats * n_classes
     assert abs(tr - target) / target < 1e-8
     # omega is the direct solve
-    direct = np.linalg.solve(gram, x.T @ (z - p.sigma0 * sol.W))
-    assert np.abs(sol.omega - direct).max() < 1e-10
+    w = substream(3, 0).standard_normal(z.shape)
+    direct = np.linalg.solve(gram, x.T @ (z - p.sigma0 * w))
+    assert np.abs(rp.fyodorov_omega(p, 3) - direct).max() < 1e-10
     for mu in (0, n_data - 1):
         # Jacobian against central differences of x^mu -> Z~^T X R x^mu
-        jac = rp.jacobian_block(sol, p, mu)
+        jac = rp.jacobian_block(p, mu)
         h = 1e-6
         fd = np.zeros_like(jac)
         for j in range(n_feats):
@@ -383,7 +413,7 @@ def test_spectral_state_oracles_on_wide_and_square_designs(n_data, n_feats, c):
             xm = x.copy(); xm[mu, j] -= h
             fd[:, j] = (z.T @ xp @ r @ xp[mu] - z.T @ xm @ r @ xm[mu]) / (2 * h)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) < 1e-5
-        jj = rp.jj_transpose(sol, p, mu)
+        jj = rp.jj_transpose(p, mu)
         assert np.abs(jj - fd @ fd.T).max() < 1e-8 * np.abs(jj).max()
         assert np.abs(jj - jj.T).max() < 1e-12
 
@@ -392,14 +422,13 @@ def test_spectral_state_oracles_on_wide_and_square_designs(n_data, n_feats, c):
     "n_data,n_feats,c", [(20, 8, 1.0)] + DESIGNS, ids=["tall_20x8"] + DESIGN_IDS
 )
 def test_fgsm_rows_match_jj_transpose_for_every_sample(n_data, n_feats, c):
-    p = _problem(n_data=n_data, n_feats=n_feats, c=c, eps=0.1)
-    sol = rp.fyodorov_omega(p)
-    dz = rp.fgsm_logit_response(sol, p)
+    p, eps = _problem(n_data=n_data, n_feats=n_feats, c=c), 0.1
+    dz = rp.fgsm_logit_response(p, eps)
     y = np.eye(p.Z_tilde.shape[1])[p.labels.labels]
     g = softmax(p.Z_tilde) - y
     for mu in range(n_data):
-        jj = rp.jj_transpose(sol, p, mu)
-        expect = p.epsilon * jj @ g[mu] / np.sqrt(g[mu] @ jj @ g[mu])
+        jj = rp.jj_transpose(p, mu)
+        expect = eps * jj @ g[mu] / np.sqrt(g[mu] @ jj @ g[mu])
         assert np.allclose(dz[mu], expect, atol=1e-12)
 
 

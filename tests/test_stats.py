@@ -480,6 +480,17 @@ def test_cosine_brute_force_oracle():
         assert a == pytest.approx(b, abs=1e-12)
 
 
+def test_cosine_neighbor_count():
+    # n = 0 asks for no neighbours; a negative n is refused, not read as a
+    # slice that drops the last |n| rows
+    m = LogitMatrix(np.random.default_rng(10).standard_normal((6, 3)))
+    assert stats.cosine_neighbors(m, 0, 0) == []
+    assert len(stats.cosine_neighbors(m, 0, 5)) == 5
+    for n in (-1, -5):
+        with pytest.raises(stats.StatsError, match=f"n must be >= 0, got {n}"):
+            stats.cosine_neighbors(m, 0, n)
+
+
 def test_cosine_zero_norm_error():
     m = LogitMatrix([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(stats.StatsError):

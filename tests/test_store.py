@@ -270,9 +270,14 @@ def test_lines_split_on_newline_only(tmp_path):
         load_labels(p)
     p.write_bytes(b"1\r\n2\r\n\r\n3\r\n")
     assert load_labels(p).labels.tolist() == [1, 2, 3]
-    # line numbers run on across reads: the bad label sits past the first
-    # READ_BYTES, after a line that holds only \x1c, a blank one to str.strip
+    # only spaces and tabs make a blank line: a line holding only \x1c,
+    # whitespace to str.strip, is a label that does not parse
     p.write_text("1\n" * 150_000 + "\x1c\n" + "1\n" * 150_000 + "x\n")
+    with pytest.raises(ParseError, match=r"unparseable label at line 150001$"):
+        load_labels(p)
+    # line numbers run on across reads: the bad label sits past the first
+    # READ_BYTES, after a blank line of spaces and a tab
+    p.write_text("1\n" * 150_000 + "  \t \n" + "1\n" * 150_000 + "x\n")
     assert p.stat().st_size > READ_BYTES
     with pytest.raises(ParseError, match=r"unparseable label at line 300002$"):
         load_labels(p)
