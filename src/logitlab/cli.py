@@ -212,7 +212,7 @@ def _cmd_response(args, outputs: _Outputs) -> None:
 
 
 def _cmd_mftma(args, outputs: _Outputs) -> None:
-    files = [ln.strip() for _, ln in store.read_lines(Path(args.manifolds))]
+    files = [ln.strip(" \t") for _, ln in store.read_lines(Path(args.manifolds))]
     if not files:
         raise store.ParseError(f"{args.manifolds}: empty manifold manifest")
     clouds = []

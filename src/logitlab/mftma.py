@@ -11,14 +11,11 @@ alpha_Ball/alpha_Point capacities in closed form, center null-space
 projection, and an empirical separability-bisection capacity are also
 provided.
 
-The empirical capacity calls a dichotomy separable when its box margin
-max_{||w||_inf <= 1} min_i y_i w.x_i exceeds 1e-9. One NNLS on the
-least-distance form of the problem gives a lower and an upper bound on that
-margin, and these decide; the HiGHS LP is the fallback for the rare case
-where the bounds straddle the tolerance.
+The empirical capacity calls a dichotomy separable when one NNLS certifies
+a box margin max_{||w||_inf <= 1} min_i y_i w.x_i above 1e-9 (_separable).
 
-``linprog`` and ``nnls`` are module-level functions that import scipy's on
-each call, so importing this module loads no scipy.
+``nnls`` is a module-level function that imports scipy's on each call, so
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +29,9 @@ from .rng import substream
 
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the call."""
+    """scipy.optimize.linprog, imported on the call. Nothing here calls it; it
+    stays while bench/tracer.py wraps mftma.linprog by name, without which every
+    traced bench run fails."""
     from scipy.optimize import linprog
     return linprog(*args, **kwargs)
 
@@ -57,7 +56,7 @@ class ManifoldSet:
             raise MftmaError("need at least one manifold")
         n = clouds[0].shape[1] if clouds[0].ndim == 2 else -1
         for i, c in enumerate(clouds):
-            if c.ndim != 2 or c.shape[0] < 1:
+            if c.ndim != 2 or c.size == 0:  # no points, or no coordinates
                 raise MftmaError(f"cloud {i} must be a nonempty 2-D point array")
             if c.shape[1] != n:
                 raise MftmaError(f"cloud {i} has ambient dimension {c.shape[1]} != {n}")
@@ -234,7 +233,10 @@ def alpha_ball(R: float, D: float) -> float:
     """Capacity of L2-ball manifolds with radius R and dimension D."""
     if not (0.0 <= R < np.inf and 0.0 <= D < np.inf):
         raise MftmaError("R and D must be finite and nonnegative")
-    return (R**2 + 1.0) / _shortfall_moment(R * math.sqrt(D))
+    num, den = R * R + 1.0, _shortfall_moment(R * math.sqrt(D))
+    if not math.isfinite(num + den):
+        raise MftmaError(f"R = {R:g}, D = {D:g} put R^2 or R^2 D beyond float range")
+    return num / den
 
 
 def alpha_point(kappa: float) -> float:
@@ -244,69 +246,34 @@ def alpha_point(kappa: float) -> float:
     return 1.0 / _shortfall_moment(kappa)
 
 
-def _margin_bounds(signed: np.ndarray) -> tuple[float, float]:
-    """Bounds lower <= m* <= upper on the box margin
-    m* = max over ||w||_inf <= 1 of min_i s_i.w, from one NNLS.
-
-    The least-distance problem min ||w|| s.t. S w >= 1 is nnls(E, f) with
-    E = [S^T; 1^T] and f = e_{d+1} (Lawson & Hanson 1974, ch. 23); let
-    r = E u - f.
-    - lower: if r[-1] < 0, w = -r[:-1] / r[-1] solves it, and w / ||w||_inf
-      is box-feasible with margin min(S w) / ||w||_inf.
-    - upper: lam = u / sum(u) weighs the signed points, and for every
-      box-feasible w, min_i s_i.w <= lam^T S w <= ||S^T lam||_1.
-    Raises RuntimeError when NNLS does not converge.
-    """
+def _certified_margin(signed: np.ndarray) -> float:
+    """The box margin min(S w) / ||w||_inf that one NNLS certifies for the
+    signed points S, or 0. The least-distance problem min ||w||_2 s.t. S w >= 1
+    is nnls(E, f) with E = [S^T; 1^T], f = e_{d+1} (Lawson & Hanson 1974,
+    ch. 23); if r = E u - f has r[-1] < 0, w = -r[:-1] / r[-1] solves it."""
     e = np.vstack([signed.T, np.ones(signed.shape[0])])
     f = np.zeros(e.shape[0])
     f[-1] = 1.0
-    u, _ = nnls(e, f)
+    try:
+        u, _ = nnls(e, f)
+    except RuntimeError as err:
+        raise MftmaError(f"separability NNLS did not converge: {err}") from err
     r = e @ u - f
-    lower, upper = 0.0, np.inf
-    if r[-1] < 0.0:
-        w = -r[:-1] / r[-1]
-        scale = np.abs(w).max()
-        if scale > 0.0:
-            lower = max(float((signed @ w).min()) / scale, 0.0)
-    total = u.sum()
-    if total > 0.0:
-        upper = float(np.abs(signed.T @ (u / total)).sum())
-    return lower, upper
+    if r[-1] >= 0.0:
+        return 0.0
+    w = -r[:-1] / r[-1]
+    scale = np.abs(w).max()
+    return max(float((signed @ w).min()) / scale, 0.0) if scale > 0.0 else 0.0
 
 
 def _separable(points: np.ndarray, labels: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether the box margin m* (see _margin_bounds) of the signed points
-    labels_i * x_i exceeds tol: homogeneous linear separability.
-
-    The NNLS certificates decide: a lower bound above tol means separable,
-    an upper bound at or below tol means not. Only when neither holds (a
-    margin within NNLS rounding of tol) or NNLS does not converge does the
-    box-margin LP decide, and an LP that fails to solve raises MftmaError.
-    """
-    signed = labels[:, None] * points
-    try:
-        lower, upper = _margin_bounds(signed)
-    except RuntimeError:
-        lower, upper = 0.0, np.inf
-    if lower > tol:
-        return True
-    if upper <= tol:
-        return False
-    return _separable_lp(signed, tol)
-
-
-def _separable_lp(signed: np.ndarray, tol: float) -> bool:
-    """The box-margin LP: maximize m s.t. signed.w >= m, ||w||_inf <= 1."""
-    n_pts, dim = signed.shape
-    # variables: w (dim), m; constraints: -signed.w + m <= 0
-    a_ub = np.hstack([-signed, np.ones((n_pts, 1))])
-    c = np.zeros(dim + 1)
-    c[-1] = -1.0
-    bounds = [(-1.0, 1.0)] * dim + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n_pts), bounds=bounds, method="highs")
-    if not res.success:
-        raise MftmaError(f"separability LP failed (status {res.status}): {res.message}")
-    return float(res.x[-1]) > tol
+    """Whether the certified box margin of the signed points labels_i * x_i
+    exceeds tol. w / ||w||_inf is box-feasible, and the box optimum w* / m* is
+    feasible for the least-distance problem with norm <= sqrt(d) / m*, so
+    m* >= certified >= 1 / ||w||_2 >= m* / sqrt(d): a dichotomy counted as not
+    separable has m* <= sqrt(d) * tol in exact arithmetic, and a margin lost
+    to NNLS rounding counts as not separable."""
+    return _certified_margin(labels[:, None] * points) > tol
 
 
 def _separable_fraction(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .store import read_lines, refuse_directories, row_blocks
+from .store import lenient, read_lines, refuse_directories, row_blocks
 
 
 class ReportError(Exception):
@@ -33,6 +33,8 @@ def _cells(path: Path, width: int, lines) -> np.ndarray:
         if len(parts) != width:
             raise ReportError(f"{path}: line {i} has {len(parts)} cells, the header has {width}")
         try:
+            if lenient(line):
+                raise ValueError(line)
             cells.extend(map(float, parts))
         except ValueError:
             raise ReportError(f"{path}: non-numeric CSV cell at line {i}") from None

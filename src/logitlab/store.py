@@ -9,6 +9,8 @@ values printed with 17 significant digits, enough to round-trip any double.
 
 Labels and flags are one integer per line. One line reader, read_lines, reads
 every text input: matrices, labels, flags, manifold listings and report's CSVs.
+A numeric cell holds ASCII only, no digit separator "_" and no whitespace but
+spaces and tabs (lenient).
 """
 
 from __future__ import annotations
@@ -294,6 +296,20 @@ def _adopt(arr: np.ndarray) -> LogitMatrix:
     return m
 
 
+def lenient(text: str) -> bool:
+    """Whether text holds what int() and float() accept but no number logitlab
+    writes holds: a non-ASCII character ("٣", "\x85"), a digit separator "_",
+    or whitespace other than spaces and tabs (a line holds no "\n")."""
+    return not text.isascii() or "_" in text or "\r" in text or "\v" in text or "\f" in text
+
+
+def number(kind: type, text: str):
+    """kind(text) for kind int or float; ValueError also where text is lenient."""
+    if lenient(text):
+        raise ValueError(f"lenient number {text!r}")
+    return kind(text)
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(i, line) for each non-blank line of a UTF-8 text file, split on "\\n"
     or "\\r\\n" only and i counting every line from 1, as an editor does;
@@ -324,7 +340,7 @@ def _load_text(path: Path) -> LogitMatrix:
     if header is None:
         raise ParseError(f"{path}: empty file")
     try:
-        rows, cols = map(int, header.split(","))
+        rows, cols = (number(int, c) for c in header.split(","))
     except ValueError:
         why = "non-integer header" if header.count(",") == 1 else "header must be 'rows,cols', got"
         raise ParseError(f"{path}: {why} {header!r}") from None
@@ -341,11 +357,13 @@ def _load_text(path: Path) -> LogitMatrix:
             if len(parts) != cols:
                 raise ParseError(f"{path}: row {n} has {len(parts)} values, expected {cols}")
             try:
+                if lenient(line):  # the loop below names the cell
+                    raise ValueError(line)
                 vals[n] = list(map(float, parts))
             except ValueError:  # keep the cells before the bad one for the check below
                 for c, tok in enumerate(parts):
                     try:
-                        vals[n, c] = float(tok)
+                        vals[n, c] = number(float, tok)
                     except ValueError:
                         raise ParseError(
                             f"{path}: unparseable value at row {n}, column {c}") from None
@@ -368,7 +386,7 @@ def load_labels(path: str | Path) -> LabelVector:
     vals = []
     for i, ln in read_lines(path):
         try:
-            vals.append(int(ln))
+            vals.append(number(int, ln))
         except ValueError as e:
             raise ParseError(f"{path}: unparseable label at line {i}") from e
         if vals[-1] < 0:
@@ -386,7 +404,7 @@ def load_flags(path: str | Path) -> RobustFlags:
     path = Path(path)
     vals = []
     for i, ln in read_lines(path):
-        tok = ln.strip()
+        tok = ln.strip(" \t")
         if tok not in ("0", "1"):
             raise ParseError(f"{path}: flag at line {i} must be 0 or 1, got {tok!r}")
         vals.append(tok == "1")

@@ -35,6 +35,10 @@ REPORT_CSVS = {
     "csv_huge_edges": HIST + "-1e308,0,1\n0,1e308,1\n",
     "csv_empty": "",
     "csv_all_nan": HEAT + "0,0,nan\n0,1,nan\n",
+    # cells float() reads but logitlab never writes
+    "csv_form_feed": HIST + "0,1,3\n1,2,5\x0c\n",
+    "csv_digit_separator": HIST + "0,1,3\n1,2,1_0\n",
+    "csv_non_ascii_digit": HIST + "0,1,3\n1,2,\u0665\n",
 }
 
 
@@ -59,6 +63,7 @@ def dataset(tmp_path):
         store_matrix(LogitMatrix(rng.standard_normal((4, 6)) + 3 * i), tmp_path / f"c{i}.lgt",
                      "binary")
     (tmp_path / "manifolds.txt").write_text("c0.lgt\nc1.lgt\n")
+    (tmp_path / "manifolds_ff.txt").write_text("c0.lgt\x0c\nc1.lgt\n")  # no such file
     # an --out with a directory where overlap's second artifact would go
     (tmp_path / "taken" / "overlap_permuted.csv").mkdir(parents=True)
     for name, text in REPORT_CSVS.items():
@@ -435,6 +440,10 @@ def test_cli_reproducible_responses(tmp_path):
     (["report", "--out", "{d}/csv_empty"], 3, "b.csv: empty CSV"),
     (["report", "--out", "{d}/csv_all_nan"], 3, "b.csv: all values are NaN"),
     (["response", "--beta-correct", "-3"], 4, "negative discriminant at beta=-3.0, N=10"),
+    (["report", "--out", "{d}/csv_form_feed"], 3, "b.csv: non-numeric CSV cell at line 3"),
+    (["report", "--out", "{d}/csv_digit_separator"], 3, "b.csv: non-numeric CSV cell at line 3"),
+    (["report", "--out", "{d}/csv_non_ascii_digit"], 3, "b.csv: non-numeric CSV cell at line 3"),
+    (["mftma", "--manifolds", "{d}/manifolds_ff.txt"], 3, "cannot read {d}/c0.lgt\x0c: "),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
@@ -462,7 +471,9 @@ def test_cli_reproducible_responses(tmp_path):
         "report_huge_edges", "stats_negative_label", "overlap_negative_label",
         "manipulate_negative_label", "overlap_seed_not_int", "mftma_blank_manifest",
         "stats_blank_text", "report_empty_csv", "report_all_nan_heatmap",
-        "response_beta_correct_negative_discriminant"])
+        "response_beta_correct_negative_discriminant", "report_form_feed_cell",
+        "report_digit_separator_cell", "report_non_ascii_digit_cell",
+        "mftma_listing_strips_only_spaces_and_tabs"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]

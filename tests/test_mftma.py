@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 from scipy.stats import norm
 
+from logitlab import cli
 from logitlab import mftma as mf
+from logitlab.store import LogitMatrix, store_matrix
 
 
 # ---------- capacity closed forms ----------
@@ -31,6 +33,11 @@ def test_capacities_refuse_negative_or_non_finite_arguments():
     for r, d in ((-1.0, 2.0), (1.0, -2.0), (np.inf, 2.0), (1.0, np.nan)):
         with pytest.raises(mf.MftmaError, match="R and D"):
             mf.alpha_ball(r, d)
+    # R^2 overflowed in R**2 (an OverflowError); R^2 D in the shortfall, giving 0
+    for r, d in ((1e200, 0.0), (1e200, 1.0), (1e150, 1e10)):
+        with pytest.raises(mf.MftmaError) as err:
+            mf.alpha_ball(r, d)
+        assert str(err.value) == f"R = {r:g}, D = {d:g} put R^2 or R^2 D beyond float range"
 
 
 def test_capacities_reach_their_large_argument_limits():
@@ -266,6 +273,9 @@ def test_manifold_set_validation():
         mf.ManifoldSet((np.zeros((2, 3)), np.zeros((2, 4))))
     with pytest.raises(mf.MftmaError):
         mf.ManifoldSet((np.array([[np.nan, 1.0]]),))
+    # points without coordinates ended in an IndexError in mftma_capacity
+    with pytest.raises(mf.MftmaError, match="cloud 0 must be a nonempty 2-D point array"):
+        mf.ManifoldSet((np.zeros((2, 0)), np.zeros((3, 0))))
 
 
 @pytest.mark.parametrize("kappa", [0.3, 1.0])
@@ -301,8 +311,8 @@ def test_anchor_kkt_oracle_with_margin(kappa):
 # ---------- separability ----------
 
 def _lp_margin(points, labels):
-    """The box-margin LP that decided separability on its own before the
-    NNLS certificates: m* = max m s.t. y_i w.x_i >= m, ||w||_inf <= 1."""
+    """The box-margin LP, the oracle for the NNLS certificate:
+    m* = max m s.t. y_i w.x_i >= m, ||w||_inf <= 1."""
     n_pts, dim = points.shape
     signed = labels[:, None] * points
     a_ub = np.hstack([-signed, np.ones((n_pts, 1))])
@@ -350,77 +360,67 @@ def test_separable_matches_lp(monkeypatch):
     assert 100 <= sum(decisions) <= len(cases) - 100  # both outcomes are tested
 
 
-def test_margin_bounds_sandwich_lp_margin():
+def test_certified_margin_brackets_lp_margin():
+    # m* / sqrt(d) <= certified <= m*, the bound _separable's rule rests on
     rng = np.random.default_rng(31)
     for _ in range(120):
         d = int(rng.integers(1, 8))
         n = int(rng.integers(1, 3 * d + 3))
         points = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2)
         labels = rng.choice([-1.0, 1.0], size=n)
-        lower, upper = mf._margin_bounds(labels[:, None] * points)
+        certified = mf._certified_margin(labels[:, None] * points)
         m_star = _lp_margin(points, labels)
         slack = 1e-9 * max(1.0, m_star)
-        assert lower - slack <= m_star <= upper + slack
+        assert m_star / np.sqrt(d) - slack <= certified <= m_star + slack
 
 
-def _no_lp(*args, **kwargs):
-    raise AssertionError("the NNLS certificates should have decided")
-
-
-def test_certificates_decide_without_lp(monkeypatch):
-    monkeypatch.setattr(mf, "_separable_lp", _no_lp)
+def test_certificates_decide_without_lp():
     # {x, -x}: 0 is the midpoint, so no w has both margins positive
     x = np.array([[0.3, -1.2, 2.0]])
     pair = np.vstack([x, -x])
-    lower, upper = mf._margin_bounds(pair)
-    assert lower == 0.0 and upper <= 1e-15
+    assert mf._certified_margin(pair) == 0.0
     assert not mf._separable(pair, np.ones(2))
     # (+-1, delta) has box margin exactly delta, at w = (0, 1)
     delta = 1e-3
     two = np.array([[1.0, delta], [-1.0, delta]])
-    lower, upper = mf._margin_bounds(two)
-    assert lower == pytest.approx(delta, rel=1e-12)
-    assert upper == pytest.approx(delta, rel=1e-12)
+    assert mf._certified_margin(two) == pytest.approx(delta, rel=1e-12)
     assert mf._separable(two, np.ones(2), tol=0.9 * delta)
     assert not mf._separable(two, np.ones(2), tol=1.1 * delta)
-    # below the default tolerance the upper bound decides
     assert not mf._separable(np.array([[1.0, 5e-10], [-1.0, 5e-10]]), np.ones(2))
 
 
-def test_lp_decides_within_nnls_rounding_of_tol(monkeypatch):
-    # margin 2e-9 > tol, but the least-distance solution has norm 5e8, so its
-    # residual is lost to rounding and only the LP can tell
-    lp_calls = []
-    lp = mf._separable_lp
-    monkeypatch.setattr(mf, "_separable_lp", lambda *a: lp_calls.append(a) or lp(*a))
-    assert mf._separable(np.array([[1.0, 2e-9], [-1.0, 2e-9]]), np.ones(2))
-    assert len(lp_calls) == 1
+def test_margin_lost_to_nnls_rounding_is_not_separable():
+    # box margin 2e-9 > tol, but the least-distance solution has norm 5e8, so
+    # its residual is lost to rounding and no margin is certified
+    points = np.array([[1.0, 2e-9], [-1.0, 2e-9]])
+    assert _lp_margin(points, np.ones(2)) == pytest.approx(2e-9, rel=1e-6)
+    assert mf._certified_margin(points) <= 1e-9
+    assert not mf._separable(points, np.ones(2))
 
 
-def test_nnls_failure_falls_back_to_lp(monkeypatch):
+def test_nnls_failure_raises(monkeypatch, tmp_path, capsys):
     def no_convergence(*args, **kwargs):
         raise RuntimeError("Maximum number of iterations reached.")
 
-    monkeypatch.setattr(mf, "nnls", no_convergence)
-    rng = np.random.default_rng(32)
-    lp_calls = []
-    lp = mf._separable_lp
-    monkeypatch.setattr(mf, "_separable_lp", lambda *a: lp_calls.append(a) or lp(*a))
-    for n in (3, 6, 12, 20):
-        points = rng.standard_normal((n, 4))
-        labels = rng.choice([-1.0, 1.0], size=n)
-        assert mf._separable(points, labels) == (_lp_margin(points, labels) > 1e-9)
-    assert len(lp_calls) == 4
+    message = "separability NNLS did not converge: Maximum number of iterations reached."
+    mset = _ball_set(np.random.default_rng(32), p=3, m=4)
+    with monkeypatch.context() as m:
+        m.setattr(mf, "nnls", no_convergence)
+        with pytest.raises(mf.MftmaError) as err:
+            mf.empirical_capacity(mset, n_dichotomies=3)
+    assert str(err.value) == message
+    # the CLI's anchors solve; its separability NNLS then fails: exit 4, one line
+    for i, cloud in enumerate(mset.clouds):
+        store_matrix(LogitMatrix(cloud), tmp_path / f"c{i}.lgt")
+    (tmp_path / "manifolds.txt").write_text("c0.lgt\nc1.lgt\nc2.lgt\n")
+    capacity = mf.mftma_capacity
 
+    def then_fail(*args):
+        result = capacity(*args)
+        monkeypatch.setattr(mf, "nnls", no_convergence)
+        return result
 
-def test_failed_lp_raises(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise RuntimeError("Maximum number of iterations reached.")
-
-    def failed_lp(*args, **kwargs):
-        return OptimizeResult(success=False, status=4, message="numerical difficulties")
-
-    monkeypatch.setattr(mf, "nnls", no_convergence)
-    monkeypatch.setattr(mf, "linprog", failed_lp)
-    with pytest.raises(mf.MftmaError, match=r"separability LP failed \(status 4\)"):
-        mf._separable(np.eye(3), np.ones(3))
+    monkeypatch.setattr(mf, "mftma_capacity", then_fail)
+    assert cli.main(["mftma", "--manifolds", str(tmp_path / "manifolds.txt"), "--n-samples",
+                     "5", "--empirical", "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == f"error: numeric: {message}\n"

@@ -120,6 +120,10 @@ def test_bad_header(tmp_path):
     p.write_text("nonsense\n")
     with pytest.raises(ParseError):
         load_matrix(p, "text")
+    # int() reads "2_0" as 20, but no header logitlab writes holds a "_"
+    p.write_text("2_0,3\n" + "1,2,3\n" * 20)
+    with pytest.raises(ParseError, match=r"non-integer header '2_0,3'$"):
+        load_matrix(p, "text")
 
 
 def test_truncated_binary(tmp_path):
@@ -221,22 +225,33 @@ def test_labels_flags_round_trip(tmp_path):
         load_flags(tmp_path / "bad.txt")
 
 
-LINE_READERS = {  # reader, lines of a file, what it reads, a bad last line, its message
+LINE_READERS = {  # reader, lines of a file, what it reads, bad last lines and their messages
+    # a cell int() or float() reads but logitlab never writes is refused: a
+    # digit separator, a non-ASCII digit, whitespace other than spaces and tabs
     "matrix": (lambda p: load_matrix(p, "text").values.tolist(), ["2,2", "1,2", "3,4"],
-               [[1.0, 2.0], [3.0, 4.0]], "3,x", "unparseable value at row 1, column 1"),
-    "labels": (lambda p: load_labels(p).labels.tolist(), ["3", "1"], [3, 1], "x",
-               "unparseable label at line 4"),
-    "flags": (lambda p: load_flags(p).flags.tolist(), ["1", "0"], [True, False], "2",
-              "flag at line 4 must be 0 or 1, got '2'"),
+               [[1.0, 2.0], [3.0, 4.0]], {
+                   "3,x": "unparseable value at row 1, column 1",
+                   "3,4\x0c": "unparseable value at row 1, column 1",
+                   "1_0,4": "unparseable value at row 1, column 0",
+                   "3,\u0664": "unparseable value at row 1, column 1"}),
+    "labels": (lambda p: load_labels(p).labels.tolist(), ["3", "1"], [3, 1], {
+        "x": "unparseable label at line 4",
+        "1\x0c": "unparseable label at line 4",
+        "1_0": "unparseable label at line 4",
+        "\u0663": "unparseable label at line 4"}),
+    "flags": (lambda p: load_flags(p).flags.tolist(), ["1", "0"], [True, False], {
+        "2": "flag at line 4 must be 0 or 1, got '2'",
+        "1\x0c": "flag at line 4 must be 0 or 1, got '1\\x0c'",
+        "1\x85": "flag at line 4 must be 0 or 1, got '1\\x85'"}),
     # the mftma manifold listing is the names read_lines yields
     "listing": (lambda p: list(read_lines(p)), ["a.lgt", "b.lgt"], [(2, "a.lgt"), (4, "b.lgt")],
-                None, None),
+                {}),
 }
 
 
 @pytest.mark.parametrize("reader", LINE_READERS)
 def test_line_rules_of_every_text_reader(tmp_path, reader):
-    read, lines, want, bad, message = LINE_READERS[reader]
+    read, lines, want, refusals = LINE_READERS[reader]
     p = tmp_path / "in.txt"
 
     def write(last):  # CRLF endings, and blank and whitespace-only lines
@@ -244,7 +259,7 @@ def test_line_rules_of_every_text_reader(tmp_path, reader):
 
     write(lines[-1])
     assert read(p) == want
-    if bad is not None:  # line i counts the skipped lines too
+    for bad, message in refusals.items():  # line i counts the skipped lines too
         write(bad)
         with pytest.raises(ParseError) as err:
             read(p)
