@@ -42,10 +42,22 @@ class UsageError(Exception):
     pass
 
 
+def _number(kind: type):
+    """The option type that reads kind as store.number does, so a spelling no
+    file may hold ("1_0", "\u0663") is refused as "abc" is: exit 2, one line."""
+    def parse(text: str):
+        return store.number(kind, text)
+    parse.__name__ = kind.__name__  # argparse's message: "invalid int value: '1_0'"
+    return parse
+
+
+_int, _float = _number(int), _number(float)
+
+
 def _seed(text: str) -> int:
     """A --seed value: a nonnegative integer, as numpy's SeedSequence requires."""
     try:
-        seed = int(text)
+        seed = _int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if seed < 0:
@@ -246,8 +258,8 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--labels")
     p.add_argument("--flags")
-    p.add_argument("--bin-width", type=float, default=0.25, dest="bin_width")
-    p.add_argument("--min-count", type=int, default=50, dest="min_count")
+    p.add_argument("--bin-width", type=_float, default=0.25, dest="bin_width")
+    p.add_argument("--min-count", type=_int, default=50, dest="min_count")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("overlap", help="average overlap of two logit matrices")
@@ -255,14 +267,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--logits2", required=True)
     p.add_argument("--labels")
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=_int, default=0)
     p.set_defaults(func=_cmd_overlap)
 
     p = sub.add_parser("manipulate", help="distillation-target manipulations")
     common(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--kind", required=True, choices=forge.KINDS)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_int)
     p.add_argument("--labels")
     p.add_argument("--index-source", dest="index_source")
     p.set_defaults(func=_cmd_manipulate)
@@ -272,26 +284,26 @@ def build_parser() -> _Parser:
     p.add_argument("--surface", action="store_true")
     p.add_argument("--shrinkage", action="store_true")
     p.add_argument("--threshold", action="store_true")
-    p.add_argument("--n-classes", type=int, default=10, dest="n_classes")
-    p.add_argument("--error-rate", type=float, default=0.2, dest="error_rate")
+    p.add_argument("--n-classes", type=_int, default=10, dest="n_classes")
+    p.add_argument("--error-rate", type=_float, default=0.2, dest="error_rate")
     p.add_argument("--branch", choices=("plus", "minus"), default="plus")
-    p.add_argument("--beta-min", type=float, default=3.0, dest="beta_min")
-    p.add_argument("--beta-max", type=float, default=10.0, dest="beta_max")
-    p.add_argument("--beta-step", type=float, default=0.25, dest="beta_step")
+    p.add_argument("--beta-min", type=_float, default=3.0, dest="beta_min")
+    p.add_argument("--beta-max", type=_float, default=10.0, dest="beta_max")
+    p.add_argument("--beta-step", type=_float, default=0.25, dest="beta_step")
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("response", help="linear-response gap-shift experiment")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--n-data", type=int, default=200, dest="n_data")
-    p.add_argument("--n-feats", type=int, default=100, dest="n_feats")
-    p.add_argument("--n-classes", type=int, default=10, dest="n_classes")
-    p.add_argument("--beta-correct", type=float, default=5.0, dest="beta_correct")
-    p.add_argument("--beta-wrong", type=float, default=5.0, dest="beta_wrong")
-    p.add_argument("--error-rate", type=float, default=0.2, dest="error_rate")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--sigma0", type=float, default=1e-3)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--n-data", type=_int, default=200, dest="n_data")
+    p.add_argument("--n-feats", type=_int, default=100, dest="n_feats")
+    p.add_argument("--n-classes", type=_int, default=10, dest="n_classes")
+    p.add_argument("--beta-correct", type=_float, default=5.0, dest="beta_correct")
+    p.add_argument("--beta-wrong", type=_float, default=5.0, dest="beta_wrong")
+    p.add_argument("--error-rate", type=_float, default=0.2, dest="error_rate")
+    p.add_argument("--epsilon", type=_float, default=0.1)
+    p.add_argument("--sigma0", type=_float, default=1e-3)
+    p.add_argument("--c", type=_float, default=1.0)
     p.set_defaults(func=_cmd_response)
 
     p = sub.add_parser("mftma", help="manifold capacity analysis")
@@ -299,11 +311,11 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--manifolds", required=True,
                    help="text file listing one matrix file per manifold")
-    p.add_argument("--n-samples", type=int, default=200, dest="n_samples")
-    p.add_argument("--kappa", type=float, default=0.0)
+    p.add_argument("--n-samples", type=_int, default=200, dest="n_samples")
+    p.add_argument("--kappa", type=_float, default=0.0)
     p.add_argument("--project-centers", action="store_true", dest="project_centers")
     p.add_argument("--empirical", action="store_true")
-    p.add_argument("--n-dichotomies", type=int, default=50, dest="n_dichotomies")
+    p.add_argument("--n-dichotomies", type=_int, default=50, dest="n_dichotomies")
     p.set_defaults(func=_cmd_mftma)
 
     p = sub.add_parser("report", help="render SVGs from emitted CSV")

@@ -1,15 +1,18 @@
 """Replica mean-field analysis of point-cloud manifolds.
 
-Capacity is estimated by drawing Gaussian vectors T = (t, t0) in each
-manifold's subspace coordinates (center direction appended as the last
-coordinate), solving for the anchor point s_tilde via the dual of
-min ||V - T||^2 s.t. V.(s, 1) <= -kappa, a nonnegative least-squares problem
-(Lawson-Hanson NNLS), and averaging
-[t0 + t.s_tilde]_+^2 / (1 + ||s_tilde||^2) over draws and manifolds. The
-manifold radius R_M, dimension D_M, center correlation rho_center, the
-alpha_Ball/alpha_Point capacities in closed form, center null-space
-projection, and an empirical separability-bisection capacity are also
-provided.
+Each manifold's anchor problem is built once (_subspace_coords): its M
+points in D centered subspace coordinates, with the center coordinate 1 as
+column D+1. Capacity is estimated by drawing Gaussian vectors T = (t, t0),
+one standard_normal(D+1) per draw, solving for the anchor point s_tilde via
+the dual of min ||V - T||^2 s.t. V.(s, 1) <= -kappa, a nonnegative
+least-squares problem (Lawson-Hanson NNLS; anchor_point, once per draw), and
+averaging [t0 + t.s_tilde + kappa]_+^2 / (1 + ||s_tilde||^2) over draws and
+manifolds. The manifold radius R_M, dimension D_M, center correlation
+rho_center, the alpha_Ball/alpha_Point capacities in closed form, center
+null-space projection, and an empirical separability-bisection capacity are
+also provided. A cloud with a point whose squared norm exceeds a quarter of
+the float range is refused, so that differences of points keep finite
+squared norms.
 
 The empirical capacity calls a dichotomy separable when one NNLS certifies
 a box margin max_{||w||_inf <= 1} min_i y_i w.x_i above 1e-9 (_separable).
@@ -62,6 +65,12 @@ class ManifoldSet:
                 raise MftmaError(f"cloud {i} has ambient dimension {c.shape[1]} != {n}")
             if not np.isfinite(c).all():
                 raise MftmaError(f"non-finite point in cloud {i}")
+            # centering takes differences of points, up to twice as long
+            with np.errstate(over="ignore"):
+                squared = np.einsum("ij,ij->i", c, c)
+            if not (squared <= np.finfo(np.float64).max / 4).all():
+                raise MftmaError(f"cloud {i} has a point whose squared norm is beyond "
+                                 "a quarter of float range")
         object.__setattr__(self, "clouds", clouds)
 
     @property
@@ -84,28 +93,25 @@ class MftmaResult:
 INTERIOR = None  # sentinel anchor for draws with no active constraint
 
 
-def anchor_point(
-    cloud: np.ndarray, t: np.ndarray, t0: float, kappa: float = 0.0
-) -> tuple:
-    """Anchor point and KKT weights for one Gaussian draw.
+def anchor_point(s_emb: np.ndarray, T: np.ndarray, kappa: float = 0.0) -> tuple:
+    """Anchor point and KKT weights for one Gaussian draw T = (t, t0).
 
-    cloud: M x D points in manifold-subspace coordinates (center coordinate
-    appended implicitly as 1). Returns (s_tilde, weights); s_tilde is the
-    interior sentinel when T is already feasible.
+    s_emb: the M x (D+1) anchor problem of _subspace_coords, whose last column
+    is the center coordinate 1. Returns (s_tilde, weights), s_tilde in the D
+    subspace coordinates; s_tilde is the interior sentinel when T is already
+    feasible.
     """
     if not 0.0 <= kappa < np.inf:
         raise MftmaError("kappa must be finite and nonnegative")
-    cloud = np.asarray(cloud, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    m = cloud.shape[0]
-    s_emb = np.hstack([cloud, np.ones((m, 1))])      # M x (D+1)
-    t_emb = np.append(t, t0)
-    if np.all(s_emb @ t_emb + kappa <= 0.0):
+    m = s_emb.shape[0]
+    if np.all(s_emb @ T + kappa <= 0.0):
         return INTERIOR, np.zeros(m)
     # The dual min 0.5 a'SS'a - a'(S T + kappa) over a >= 0 is the NNLS
     # problem min ||S'a - (t, t0 + kappa)||, because S's last column is ones.
+    rhs = T.copy()
+    rhs[-1] += kappa
     try:
-        a, _ = nnls(s_emb.T, np.append(t, t0 + kappa))
+        a, _ = nnls(s_emb.T, rhs)
     except RuntimeError as e:
         raise MftmaError(f"anchor NNLS did not converge: {e}") from e
     total = a.sum()
@@ -116,19 +122,19 @@ def anchor_point(
 
 
 def _subspace_coords(cloud: np.ndarray) -> np.ndarray:
-    """Cloud in centered singular-direction coordinates, scaled by 1/||center||."""
+    """The anchor problem's M x (D+1) matrix: the cloud in centered
+    singular-direction coordinates, scaled by 1/||center||, with the center
+    coordinate 1 as the last column. A cloud of rank 0 (one point, say) has
+    the one coordinate 0."""
     center = cloud.mean(axis=0)
     spread = cloud - center
     scale = np.linalg.norm(center)
     if scale < 1e-12:
         scale = 1.0
-    if cloud.shape[0] == 1:
-        return np.zeros((1, 1))
-    u, s, vt = np.linalg.svd(spread, full_matrices=False)
+    _, s, vt = np.linalg.svd(spread, full_matrices=False)
     rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
-    if rank == 0:
-        return np.zeros((cloud.shape[0], 1))
-    return spread @ vt[:rank].T / scale
+    coords = spread @ vt[:rank].T / scale if rank else np.zeros((len(cloud), 1))
+    return np.hstack([coords, np.ones((len(cloud), 1))])
 
 
 def center_correlation(mset: ManifoldSet) -> float:
@@ -156,27 +162,26 @@ def mftma_capacity(
     radii = []
     dims = []
     for i, cloud in enumerate(mset.clouds):
-        coords = _subspace_coords(cloud)
-        d = coords.shape[1]
+        s_emb = _subspace_coords(cloud)
+        anchor = np.ones(s_emb.shape[1])  # (s_tilde, 1), filled per draw
         inv_sum = 0.0
         r2 = []
         td2 = []
         for k in range(n_samples):
-            rng = substream(seed, i, k)
-            t = rng.standard_normal(d)
-            t0 = float(rng.standard_normal())
-            s_tilde, _ = anchor_point(coords, t, t0, kappa)
+            T = substream(seed, i, k).standard_normal(s_emb.shape[1])
+            s_tilde, _ = anchor_point(s_emb, T, kappa)
             if s_tilde is INTERIOR:
                 continue
             norm2 = float(s_tilde @ s_tilde)
-            proj = float(np.append(t, t0) @ np.append(s_tilde, 1.0)) + kappa
+            anchor[:-1] = s_tilde
+            proj = float(T @ anchor) + kappa
             try:
                 inv_sum += max(proj, 0.0) ** 2 / (1.0 + norm2)
             except OverflowError:  # kappa above about 1.3e154
                 inv_sum = math.inf
             r2.append(norm2)
             if norm2 > 0:
-                td2.append(float(t @ s_tilde) ** 2 / norm2)
+                td2.append(float(T[:-1] @ s_tilde) ** 2 / norm2)
         if not math.isfinite(inv_sum):
             raise MftmaError(f"kappa = {kappa:g} puts the capacity sum beyond float range")
         inv_alphas.append(inv_sum / n_samples)

@@ -9,7 +9,6 @@ cosine-similarity neighbor queries.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,16 +159,13 @@ def gap_accuracy_curve(
         if total - start >= min_count:
             ends.append(i)
             start = total
-    if not ends:  # fewer than min_count samples in all: one bin holds them
-        ends, start = [filled.size - 1], int(n_cum[-1])
+    # an underpopulated tail joins the last merged bin; with none closed, one
+    # bin holds every sample
+    if start < n_cum[-1]:
+        ends[-1:] = [filled.size - 1]
     high = edges[filled[ends] + 1]
     n_samples = np.diff(n_cum[ends], prepend=0)
     accuracy = np.diff(h_cum[ends], prepend=0.0) / n_samples
-    if start < n_cum[-1]:  # an underpopulated tail joins the last merged bin
-        acc_n, acc_h = n_cum[-1] - start, h_cum[-1] - h_cum[ends[-1]]
-        pn, pa = n_samples[-1], accuracy[-1]
-        tot = pn + acc_n
-        high[-1], n_samples[-1], accuracy[-1] = edges[-1], tot, (pa * pn + acc_h) / tot
     low = np.concatenate([edges[:1], high[:-1]])
     return low, high, n_samples, accuracy
 
@@ -212,7 +208,7 @@ def error_prediction_profile(bundle: DatasetBundle) -> np.ndarray:
     sits at rank k within its true class's correct-sample mean logit vector.
 
     Rank 1 is the true class itself and collects no mass. Returns an all-zero
-    profile (with a warning) when there are no errors.
+    profile when there are no errors.
     """
     logits = bundle.logits.values
     labels = bundle.labels.labels
@@ -232,7 +228,6 @@ def error_prediction_profile(bundle: DatasetBundle) -> np.ndarray:
 
     wrong = np.flatnonzero(~correct)
     if wrong.size == 0:
-        warnings.warn("no incorrect predictions; error profile is all zeros")
         return np.zeros(n_classes)
     # position[c, j] = 0-based rank of class j in class c's mean vector
     position = class_positions(mean_vectors)

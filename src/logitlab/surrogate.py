@@ -175,9 +175,9 @@ def admissibility_threshold(n_classes: int, case: str, branch: str = "plus") -> 
 def coefficients(spec: SurrogateSpec):
     """True-class and other-class coefficients at spec.beta, (f, f) or (g, psi).
     DomainError at a pole or a negative discriminant, SurrogateError where
-    beta <= max(u): the one place a beta is refused."""
+    beta <= max(u) or beta is infinite: the one place a beta is refused."""
     true, other, ok = _closed_forms_at(spec.beta, spec.n_classes, spec.case, spec.branch)
-    if not ok:
+    if not ok or spec.beta == np.inf:
         raise SurrogateError(f"beta={spec.beta} is inadmissible for case={spec.case}, "
                              f"branch={spec.branch}, N={spec.n_classes}")
     return true, other

@@ -63,6 +63,11 @@ def dataset(tmp_path):
         store_matrix(LogitMatrix(rng.standard_normal((4, 6)) + 3 * i), tmp_path / f"c{i}.lgt",
                      "binary")
     (tmp_path / "manifolds.txt").write_text("c0.lgt\nc1.lgt\n")
+    # finite points whose squared norms, near 1e400, overflow
+    for i in range(3):
+        store_matrix(LogitMatrix(rng.standard_normal((4, 6)) * 1e200), tmp_path / f"h{i}.lgt",
+                     "binary")
+    (tmp_path / "manifolds_huge.txt").write_text("h0.lgt\nh1.lgt\nh2.lgt\n")
     (tmp_path / "manifolds_ff.txt").write_text("c0.lgt\x0c\nc1.lgt\n")  # no such file
     # an --out with a directory where overlap's second artifact would go
     (tmp_path / "taken" / "overlap_permuted.csv").mkdir(parents=True)
@@ -444,6 +449,17 @@ def test_cli_reproducible_responses(tmp_path):
     (["report", "--out", "{d}/csv_digit_separator"], 3, "b.csv: non-numeric CSV cell at line 3"),
     (["report", "--out", "{d}/csv_non_ascii_digit"], 3, "b.csv: non-numeric CSV cell at line 3"),
     (["mftma", "--manifolds", "{d}/manifolds_ff.txt"], 3, "cannot read {d}/c0.lgt\x0c: "),
+    (["response", "--n-data", "20", "--n-feats", "1_0"], 2,
+     "argument --n-feats: invalid int value: '1_0'"),
+    (["analytic", "--surface", "--beta-step", "\u0660.5"], 2,
+     "argument --beta-step: invalid float value: '\u0660.5'"),
+    (["response", "--n-data", "20", "--n-feats", "10", "--seed", "\u0663"], 2,
+     "argument --seed: invalid int value: '\u0663'"),
+    (["mftma", "--manifolds", "{d}/manifolds_huge.txt", "--n-samples", "5"], 4,
+     "cloud 0 has a point whose squared norm is beyond a quarter of float range"),
+    (["response", "--beta-wrong", "inf", "--error-rate", "0", "--n-classes", "3",
+      "--n-data", "1", "--n-feats", "1"], 4,
+     "beta=inf is inadmissible for case=misclassified, branch=plus, N=3"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
@@ -473,7 +489,9 @@ def test_cli_reproducible_responses(tmp_path):
         "stats_blank_text", "report_empty_csv", "report_all_nan_heatmap",
         "response_beta_correct_negative_discriminant", "report_form_feed_cell",
         "report_digit_separator_cell", "report_non_ascii_digit_cell",
-        "mftma_listing_strips_only_spaces_and_tabs"])
+        "mftma_listing_strips_only_spaces_and_tabs", "int_option_digit_separator",
+        "float_option_non_ascii_digit", "seed_non_ascii_digit", "mftma_squared_norm_overflow",
+        "response_unused_beta_wrong_inf"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]

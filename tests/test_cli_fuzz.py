@@ -3,8 +3,11 @@
 the CLI ends with a documented exit code (0, 2, 3 or 4; never 3, an input
 error, for `analytic` and `response`, which read no file), a failure prints
 one stderr line and leaves --out as it was, and no exception escapes
-`cli.main`. Every test runs with warnings as errors."""
+`cli.main`. A number spelled as int() or float() reads it but no file may
+hold it exits 2 from every numeric option. Every test runs with warnings as
+errors."""
 
+import argparse
 import math
 import shutil
 
@@ -214,3 +217,67 @@ def test_report_exit_codes(tmp_path, capsys, header, rows):
     if _check_exit(["report", "--out", out], capsys, {0, 3}) == 0:
         svg = (out / "a.svg").read_text()
         assert "nan" not in svg and "inf" not in svg, (rows, svg)
+
+
+# int() and float() read these, but no number in a file may hold them
+DIGIT_ZEROS = (0x660, 0x966, 0xFF10)  # Arabic-Indic, Devanagari and fullwidth zeros
+SPACES = ("\x0c", "\x0b", "\r", "\x85", "\xa0", "\u2003")
+# the options each subcommand needs before a numeric one is read; no file is read
+REQUIRED = {
+    "stats": ["--logits", "m.lgt"],
+    "overlap": ["--logits", "m.lgt", "--logits2", "m.lgt"],
+    "manipulate": ["--logits", "m.lgt", "--kind", "fix_k_average"],
+    "analytic": ["--surface"],
+    "response": [],
+    "mftma": ["--manifolds", "manifolds.txt"],
+}
+
+
+def _typed_options():
+    """(subcommand, option, type) for every option of the parser with a type."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0], action.type)
+            for name, p in sub.choices.items() for action in p._actions if action.type]
+
+
+KINDS = {cli._int: int, cli._seed: int, cli._float: float}
+NUMBER_OPTIONS = [(name, flag, KINDS[t]) for name, flag, t in _typed_options() if t in KINDS]
+
+
+@st.composite
+def _lenient(draw, text: str) -> str:
+    """text with a digit from another script, a "_" between two digits, or
+    whitespace other than spaces and tabs around it."""
+    digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+    pairs = [i for i in digits if i + 1 in digits]
+    way = draw(st.sampled_from(["script"] * bool(digits) + ["separator"] * bool(pairs)
+                               + ["space"]))
+    if way == "script":
+        i = draw(st.sampled_from(digits))
+        return text[:i] + chr(draw(st.sampled_from(DIGIT_ZEROS)) + int(text[i])) + text[i + 1:]
+    if way == "separator":
+        i = draw(st.sampled_from(pairs))
+        return text[:i + 1] + "_" + text[i + 1:]
+    space = draw(st.sampled_from(SPACES))
+    return draw(st.sampled_from([space + text, text + space]))
+
+
+def test_every_typed_option_reads_numbers_through_store():
+    assert {t for _, _, t in _typed_options()} == set(KINDS)
+    assert {name for name, _, _ in NUMBER_OPTIONS} == set(REQUIRED)
+
+
+@FUZZ
+@given(option=st.sampled_from(NUMBER_OPTIONS), data=st.data())
+def test_lenient_numbers_exit_2(tmp_path, capsys, option, data):
+    name, flag, kind = option
+    text = _text(data.draw(st.integers(0, 60) if kind is int else
+                           st.one_of(st.floats(0.01, 10.0), st.sampled_from([math.nan, math.inf]))))
+    spelled = data.draw(_lenient(text))
+    assert _text(kind(spelled)) == text  # Python reads it
+    argv = [name, *REQUIRED[name], flag, spelled, "--out", str(tmp_path / "n")]
+    assert cli.main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert err == f"error: usage: argument {flag}: invalid {kind.__name__} value: {spelled!r}\n"
+    assert not (tmp_path / "n").exists()

@@ -74,10 +74,16 @@ def test_alpha_ball_monte_carlo_oracle():
 
 # ---------- anchor point ----------
 
+def _embed(cloud):
+    """The anchor problem of a cloud given in subspace coordinates: the center
+    coordinate 1 appended to each point."""
+    return np.hstack([cloud, np.ones((cloud.shape[0], 1))])
+
+
 def _exhaustive_anchor(cloud, t, t0, kappa=0.0):
     """Enumerate all active sets; return the optimal ||V - T||^2."""
     m = cloud.shape[0]
-    s_emb = np.hstack([cloud, np.ones((m, 1))])
+    s_emb = _embed(cloud)
     t_emb = np.append(t, t0)
     if np.all(s_emb @ t_emb + kappa <= 1e-15):
         return 0.0
@@ -100,15 +106,14 @@ def _exhaustive_anchor(cloud, t, t0, kappa=0.0):
 def test_anchor_interior_sentinel():
     cloud = np.array([[1.0, 0.0], [0.0, 1.0]])
     # T deep in the feasible halfspace: V = T works (all constraints slack)
-    s, w = mf.anchor_point(cloud, np.array([-5.0, -5.0]), -5.0)
+    s, w = mf.anchor_point(_embed(cloud), np.array([-5.0, -5.0, -5.0]))
     assert s is mf.INTERIOR
     assert np.all(w == 0)
 
 
 def test_anchor_single_point():
     cloud = np.array([[0.5, -0.2]])
-    t = np.array([1.0, 1.0])
-    s, w = mf.anchor_point(cloud, t, 2.0)
+    s, w = mf.anchor_point(_embed(cloud), np.array([1.0, 1.0, 2.0]))
     assert s is not mf.INTERIOR
     assert np.allclose(s, cloud[0], atol=1e-8)
     assert w[0] == pytest.approx(1.0)
@@ -120,14 +125,13 @@ def test_anchor_exhaustive_oracle():
         cloud = rng.standard_normal((5, 3))
         t = rng.standard_normal(3)
         t0 = float(rng.standard_normal())
-        s, w = mf.anchor_point(cloud, t, t0)
+        t_emb = np.append(t, t0)
+        s, w = mf.anchor_point(_embed(cloud), t_emb)
         oracle = _exhaustive_anchor(cloud, t, t0)
         if s is mf.INTERIOR:
             assert oracle == pytest.approx(0.0, abs=1e-12)
             continue
         # reconstruct ||V - T||^2 from the anchor representation
-        s_emb = np.hstack([cloud, np.ones((5, 1))])
-        t_emb = np.append(t, t0)
         anchor_emb = np.append(s, 1.0)
         total = (t_emb @ anchor_emb) / (anchor_emb @ anchor_emb)
         val = max(total, 0.0) ** 2 * float(anchor_emb @ anchor_emb)
@@ -138,13 +142,13 @@ def test_anchor_exhaustive_oracle():
 
 def test_anchor_kappa_validation():
     with pytest.raises(mf.MftmaError):
-        mf.anchor_point(np.zeros((1, 2)), np.zeros(2), 0.0, kappa=-1.0)
+        mf.anchor_point(_embed(np.zeros((1, 2))), np.zeros(3), kappa=-1.0)
 
 
 @pytest.mark.parametrize("kappa", [np.nan, np.inf])
 def test_anchor_kappa_must_be_finite(kappa):
     with pytest.raises(mf.MftmaError, match="kappa must be finite and nonnegative"):
-        mf.anchor_point(np.zeros((1, 2)), np.zeros(2), 0.0, kappa=kappa)
+        mf.anchor_point(_embed(np.zeros((1, 2))), np.zeros(3), kappa=kappa)
 
 
 # ---------- capacity ----------
@@ -278,6 +282,39 @@ def test_manifold_set_validation():
         mf.ManifoldSet((np.zeros((2, 0)), np.zeros((3, 0))))
 
 
+def test_manifold_set_refuses_points_beyond_a_quarter_of_float_range():
+    # near 1e200 squared norms overflow, and numpy warned and wrote nan
+    rng = np.random.default_rng(22)
+    with pytest.raises(mf.MftmaError) as err:
+        mf.ManifoldSet(tuple(rng.standard_normal((4, 6)) * 1e200 for _ in range(3)))
+    assert str(err.value) == (
+        "cloud 0 has a point whose squared norm is beyond a quarter of float range")
+    # centering doubles a length at most: centers v, v and -v become 2v/3, 2v/3
+    # and -4v/3, so points up to half the largest norm run without a warning
+    root_max = np.sqrt(np.finfo(np.float64).max)
+    for half, accepted in ((0.49, True), (0.51, False)):
+        v = np.zeros(5)
+        v[0] = half * root_max
+        clouds = tuple(sign * (v + 1e-3 * half * root_max * rng.uniform(-1, 1, (3, 5)))
+                       for sign in (1.0, 1.0, -1.0))
+        if not accepted:
+            with pytest.raises(mf.MftmaError, match="beyond a quarter of float range"):
+                mf.ManifoldSet(clouds)
+            continue
+        mset = mf.ManifoldSet(clouds)
+        assert 0.0 <= mf.mftma_capacity(mset, n_samples=5).center_correlation <= 1.0
+        mf.mftma_capacity(mf.project_null_centers(mset), n_samples=5)
+
+
+def test_subspace_coords_end_in_the_center_coordinate():
+    cloud = np.random.default_rng(23).standard_normal((6, 9)) + 3.0
+    s_emb = mf._subspace_coords(cloud)
+    assert s_emb.shape == (6, 6)  # rank 5 once centered, then the center coordinate
+    assert (s_emb[:, -1] == 1.0).all()
+    # one point has rank 0: its one subspace coordinate is 0
+    assert mf._subspace_coords(cloud[:1]).tolist() == [[0.0, 1.0]]
+
+
 @pytest.mark.parametrize("kappa", [0.3, 1.0])
 def test_anchor_kkt_oracle_with_margin(kappa):
     # KKT of min ||V - T||^2 s.t. S V <= -kappa: a >= 0, V = T - S^T a,
@@ -289,9 +326,9 @@ def test_anchor_kkt_oracle_with_margin(kappa):
         cloud = rng.standard_normal((m, d))
         t = rng.standard_normal(d)
         t0 = float(rng.standard_normal())
-        s_emb = np.hstack([cloud, np.ones((m, 1))])
+        s_emb = _embed(cloud)
         t_emb = np.append(t, t0)
-        s, w = mf.anchor_point(cloud, t, t0, kappa)
+        s, w = mf.anchor_point(s_emb, t_emb, kappa)
         if s is mf.INTERIOR:
             assert np.all(s_emb @ t_emb + kappa <= 0.0)  # T itself is feasible
             continue

@@ -128,6 +128,17 @@ def test_mftma_outputs_are_byte_identical(clouds, tmp_path):
     assert {name: _sha256(tmp_path / name) for name in MFTMA} == MFTMA
 
 
+# Taken from the capacity loop that embedded the cloud and the draw in every draw.
+MFTMA_MARGIN = "ce260a82032f46c738214faab785bd2b3ca4a57d354e882ea3db5159c68ca9d5"
+
+
+def test_mftma_margin_output_is_byte_identical(clouds, tmp_path):
+    # a margin enters the interior test and the NNLS right-hand side
+    assert cli.main(["mftma", "--manifolds", str(clouds), "--kappa", "0.5", "--project-centers",
+                     "--n-samples", "30", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "mftma.csv") == MFTMA_MARGIN
+
+
 # Cases a columns writer can get wrong: no rows, an integer beyond int64 and
 # NaN cells. Hashes taken from the CSV writer that formatted each value in
 # Python; each case also checks the text that makes it an edge case.
