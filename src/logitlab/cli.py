@@ -194,6 +194,7 @@ def _cmd_analytic(args, outputs: _Outputs) -> None:
     if args.n_classes > MAX_CLASSES:
         raise UsageError(f"--n-classes must be at most {MAX_CLASSES}, got {args.n_classes}")
     surrogate.check_error_rate(args.error_rate)
+    surrogate.SurrogateSpec(args.n_classes, 0.0, "misclassified")  # every output reads that case
     if not (args.surface or args.shrinkage or args.threshold):
         raise UsageError("analytic requires at least one of --surface/--shrinkage/--threshold")
     grid = np.arange(args.beta_min, args.beta_max + 1e-12, args.beta_step)

@@ -245,13 +245,14 @@ def store_matrix(m: LogitMatrix, path: str | Path, format: str = "binary") -> No
 
 
 def load_matrix(path: str | Path, format: str = "binary") -> LogitMatrix:
-    """Read a matrix written by :func:`store_matrix`."""
+    """Read a matrix written by :func:`store_matrix`. A refusal names the file."""
     path = Path(path)
-    if format == "binary":
-        return _load_binary(path)
-    if format == "text":
-        return _load_text(path)
-    raise ValueError(f"unknown format {format!r}")
+    if format not in ("binary", "text"):
+        raise ValueError(f"unknown format {format!r}")
+    try:
+        return _load_binary(path) if format == "binary" else _load_text(path)
+    except ValidationError as e:  # a shape error; a non-finite value is a ParseError
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def _load_binary(path: Path) -> LogitMatrix:

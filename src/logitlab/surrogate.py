@@ -19,8 +19,10 @@ true one (for f, (1-A) f^2 + 2(1+A) f - 2 e^-2beta = 0 with A = (N-1) e^-beta,
 where the roots have 2(1+A)^2). The loss surface, gap shrinkage, thresholds
 and surrogate logits are built from the printed forms by one evaluator,
 _closed_forms, the place to move them onto the roots symmetric_stationary
-finds on the same ansatz.
-coefficients is the one refusal of a beta, and ansatz_rows the one layout of
+finds on the same ansatz. Its admissibility mask (beta off the poles, with a
+real discriminant, finite and > max(u)) is the one rule: admissible reads it
+at one beta, printed_coefficients writes NaN where it is False, and
+coefficients is the one refusal of a beta. ansatz_rows is the one layout of
 a logit row on the ansatz.
 """
 
@@ -81,15 +83,13 @@ class MeanFieldParams:
 
 def _pole_hits(beta, n_classes: int, case: str) -> list[tuple[np.ndarray, str]]:
     """(beta within POLE_TOL of it, its name) for each pole of the forms."""
-    poles = [(n_classes - 1, "ln(N-1)")] if n_classes >= 2 else []
+    poles = [(n_classes - 1, "ln(N-1)")]
     if case == "misclassified" and n_classes >= 4:
         poles.append((n_classes - 3, "ln(N-3)"))
     return [(np.abs(beta - np.log(m)) < POLE_TOL, f"{name} = ln({m})") for m, name in poles]
 
 
 def _check_assignment(case: str, true_class: int, argmax_class: int) -> None:
-    if case not in ("correct", "misclassified"):
-        raise SurrogateError(f"unknown case {case!r}")
     if case == "correct" and true_class != argmax_class:
         raise SurrogateError("correct case requires true_class == argmax_class")
     if case == "misclassified" and true_class == argmax_class:
@@ -99,8 +99,9 @@ def _check_assignment(case: str, true_class: int, argmax_class: int) -> None:
 def _closed_forms(beta, n_classes: int, case: str, branch: str):
     """The printed forms at a float or an array of beta: true-class and
     other-class coefficients, (f, f) or (g, psi); the domain (off the poles by
-    POLE_TOL, rad >= 0); and admissibility, beta > max(u). At N=3 the factor
-    (N-3) e^-beta of the misclassified forms is 0, and they hold as they stand."""
+    POLE_TOL, rad >= 0); and admissibility, the one rule of every reader:
+    beta in the domain, finite and > max(u). At N=3 the factor (N-3) e^-beta
+    of the misclassified forms is 0, and they hold as they stand."""
     s = 1.0 if branch == "plus" else -1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = np.exp(-beta) * (n_classes - 1)
@@ -117,43 +118,36 @@ def _closed_forms(beta, n_classes: int, case: str, branch: str):
         domain = ~(rad < 0)
         for hit, _ in _pole_hits(beta, n_classes, case):
             domain = domain & ~hit
-        return true, other, domain, domain & (beta > np.maximum(true, other))
-
-
-def _closed_forms_at(beta: float, n_classes: int, case: str, branch: str):
-    """(true, other, admissible) at one beta; DomainError off the domain."""
-    for hit, name in _pole_hits(beta, n_classes, case):
-        if hit:
-            raise DomainError(f"beta at pole {name}")
-    true, other, domain, ok = _closed_forms(beta, n_classes, case, branch)
-    if not domain:
-        raise DomainError(f"negative discriminant at beta={beta}, N={n_classes}")
-    return true, other, bool(ok)
+        return true, other, domain, domain & np.isfinite(beta) & (beta > np.maximum(true, other))
 
 
 def printed_coefficients(beta, n_classes: int, case: str, branch: str = "plus"):
     """True-class and other-class coefficients at each beta, (f, f) or (g, psi);
-    NaN at a pole, at a negative discriminant and where beta <= max(u)."""
+    NaN wherever beta is inadmissible: at a pole, at a negative discriminant,
+    where beta <= max(u) and at beta = +-inf."""
     SurrogateSpec(n_classes, 0.0, case, branch)  # validates the arguments
     true, other, _, ok = _closed_forms(beta, n_classes, case, branch)
     return np.where(ok, true, np.nan), np.where(ok, other, np.nan)
 
 
 def admissible(spec: SurrogateSpec) -> bool:
-    """Whether the closed-form solution obeys the strict max constraint."""
-    return _closed_forms_at(spec.beta, spec.n_classes, spec.case, spec.branch)[2]
+    """Whether the printed forms are admissible at spec.beta: False at a pole,
+    at a negative discriminant, where beta <= max(u) and at beta = +-inf."""
+    return bool(_closed_forms(spec.beta, spec.n_classes, spec.case, spec.branch)[3])
 
 
 def admissibility_threshold(n_classes: int, case: str, branch: str = "plus") -> float:
     """Smallest beta above which admissible() holds for every larger beta.
 
-    Scans [0, 100] in steps of 0.1 (skipping pole neighborhoods), brackets the
-    last inadmissible-to-admissible transition, and bisects to 1e-10. Returns
-    -inf when the whole scanned grid is admissible.
+    Scans [0, 100] in steps of 0.1, brackets the last inadmissible-to-admissible
+    transition of the admissibility mask (a pole neighborhood counts as
+    inadmissible), and bisects to 1e-10. Returns -inf when the whole scanned
+    grid is admissible.
     """
+    SurrogateSpec(n_classes, 0.0, case, branch)  # validates the arguments
 
     def ok(b):
-        return ~np.isnan(printed_coefficients(b, n_classes, case, branch)[0])
+        return _closed_forms(b, n_classes, case, branch)[3]
 
     grid = np.arange(0.0, 100.0 + 1e-12, 0.1)
     vals = ok(grid)
@@ -173,11 +167,16 @@ def admissibility_threshold(n_classes: int, case: str, branch: str = "plus") -> 
 
 
 def coefficients(spec: SurrogateSpec):
-    """True-class and other-class coefficients at spec.beta, (f, f) or (g, psi).
-    DomainError at a pole or a negative discriminant, SurrogateError where
-    beta <= max(u) or beta is infinite: the one place a beta is refused."""
-    true, other, ok = _closed_forms_at(spec.beta, spec.n_classes, spec.case, spec.branch)
-    if not ok or spec.beta == np.inf:
+    """True-class and other-class coefficients at spec.beta, (f, f) or (g, psi):
+    the one refusal of an inadmissible beta. DomainError at a pole or a
+    negative discriminant, SurrogateError elsewhere admissible() is False."""
+    true, other, domain, ok = _closed_forms(spec.beta, spec.n_classes, spec.case, spec.branch)
+    if not ok:
+        for hit, name in _pole_hits(spec.beta, spec.n_classes, spec.case):
+            if hit:
+                raise DomainError(f"beta at pole {name}")
+        if not domain:
+            raise DomainError(f"negative discriminant at beta={spec.beta}, N={spec.n_classes}")
         raise SurrogateError(f"beta={spec.beta} is inadmissible for case={spec.case}, "
                              f"branch={spec.branch}, N={spec.n_classes}")
     return true, other
@@ -273,6 +272,7 @@ def symmetric_stationary(
     argmax) that obey max(u) < beta.
     """
     n = n_classes
+    SurrogateSpec(n, beta, case)  # validates n_classes and the case
     _check_assignment(case, true_class, argmax_class)
     t = np.exp(beta)
     big_m = t + n - 1
@@ -281,8 +281,6 @@ def symmetric_stationary(
         pairs = [(f, f) for f in _real_quadratic_roots(1.0 - a, 2.0 * (1.0 + a),
                                                         2.0 * (1.0 + a) ** 2)]
     else:
-        if n < 3:
-            raise SurrogateError("misclassified case needs n_classes >= 3")
         zero_psi = _real_quadratic_roots(big_m - 2.0, 2.0 * big_m, -2.0 * big_m**2)
         nonzero_psi = _real_quadratic_roots(
             n - t - 1.0, -2.0 * big_m, 2.0 * big_m * (t - n + 3.0)

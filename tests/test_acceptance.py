@@ -36,12 +36,8 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _admissible_betas(n_classes: int, case: str, branch: str, count: int = 20):
     betas = []
     for b in np.arange(0.3, 40.0, 0.05):
-        try:
-            spec = surrogate.SurrogateSpec(n_classes, float(b), case, branch)
-            if surrogate.admissible(spec):
-                betas.append(float(b))
-        except surrogate.DomainError:
-            continue
+        if surrogate.admissible(surrogate.SurrogateSpec(n_classes, float(b), case, branch)):
+            betas.append(float(b))
         if len(betas) >= count:
             break
     return betas

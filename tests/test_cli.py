@@ -69,6 +69,10 @@ def dataset(tmp_path):
                      "binary")
     (tmp_path / "manifolds_huge.txt").write_text("h0.lgt\nh1.lgt\nh2.lgt\n")
     (tmp_path / "manifolds_ff.txt").write_text("c0.lgt\x0c\nc1.lgt\n")  # no such file
+    # a one-column cloud, which LogitMatrix would refuse to store
+    (tmp_path / "one_col.lgt").write_bytes(b"LGT1" + np.array([4, 1], "<u4").tobytes()
+                                           + np.ones(4).tobytes())
+    (tmp_path / "manifolds_one_col.txt").write_text("c0.lgt\none_col.lgt\nc1.lgt\n")
     # an --out with a directory where overlap's second artifact would go
     (tmp_path / "taken" / "overlap_permuted.csv").mkdir(parents=True)
     for name, text in REPORT_CSVS.items():
@@ -460,6 +464,11 @@ def test_cli_reproducible_responses(tmp_path):
     (["response", "--beta-wrong", "inf", "--error-rate", "0", "--n-classes", "3",
       "--n-data", "1", "--n-feats", "1"], 4,
      "beta=inf is inadmissible for case=misclassified, branch=plus, N=3"),
+    (["mftma", "--manifolds", "{d}/manifolds_one_col.txt", "--n-samples", "5"], 3,
+     "error: input: {d}/one_col.lgt: logit matrix needs at least two columns"),
+    (["analytic", "--threshold", "--n-classes", "2"], 4,
+     "misclassified case needs n_classes >= 3"),
+    (["analytic", "--threshold", "--n-classes", "1"], 4, "n_classes must be >= 2"),
 ], ids=["response_no_data", "response_no_feats", "analytic_zero_step",
         "hybrid_without_index_source", "labels_directory", "flags_directory",
         "manifolds_directory", "bin_width_tiny", "bin_width_overflow",
@@ -491,7 +500,8 @@ def test_cli_reproducible_responses(tmp_path):
         "report_digit_separator_cell", "report_non_ascii_digit_cell",
         "mftma_listing_strips_only_spaces_and_tabs", "int_option_digit_separator",
         "float_option_non_ascii_digit", "seed_non_ascii_digit", "mftma_squared_norm_overflow",
-        "response_unused_beta_wrong_inf"])
+        "response_unused_beta_wrong_inf", "mftma_one_column_cloud",
+        "analytic_threshold_two_classes", "analytic_threshold_one_class"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_failures_exit_with_one_line(dataset, capsys, argv, code, message):
     d = dataset[0]

@@ -97,10 +97,11 @@ def test_ragged_row_is_parse_error(tmp_path):
     ("1,-2\n1,2\n", "negative size in header '1,-2'"),
     ("0,-2\n", "negative size in header '0,-2'"),
     ("2,0\n1\n1\n", "row 0 has 1 values, expected 0"),
+    ("3,1\n1.0\nnan\n2.0\n", "non-finite value at row 1, column 0"),  # before the shape
 ], ids=["unparseable", "non_finite", "short_row", "row_count", "extra_row",
         "bad_cell_before_row_count", "huge_cols", "huge_cols_beyond_int64", "no_rows_huge_cols",
         "first_bad_cell", "non_finite_before_later_bad_cell", "short_before_bad", "long_row",
-        "negative_cols", "negative_cols_no_rows", "zero_cols"])
+        "negative_cols", "negative_cols_no_rows", "zero_cols", "non_finite_before_one_column"])
 def test_text_failure_messages(tmp_path, body, message):
     p = tmp_path / "m.txt"
     p.write_text(body)
@@ -157,6 +158,25 @@ def test_zero_column_binary_names_its_shape(tmp_path):
     p.write_bytes(b"LGT1" + np.array([3, 0], "<u4").tobytes())
     with pytest.raises(ValidationError, match="at least two columns"):
         load_matrix(p, "binary")
+
+
+@pytest.mark.parametrize("fmt,rows,cols,message", [
+    ("binary", 3, 1, "logit matrix needs at least two columns"),
+    ("binary", 0, 4, "logit matrix needs at least one row"),
+    ("text", 3, 1, "logit matrix needs at least two columns"),
+    ("text", 0, 4, "logit matrix needs at least one row"),
+])
+def test_shape_refusals_name_the_file(tmp_path, fmt, rows, cols, message):
+    vals = np.arange(rows * cols, dtype="<f8").reshape(rows, cols)
+    p = tmp_path / "m.lgt"
+    if fmt == "binary":
+        p.write_bytes(b"LGT1" + np.array([rows, cols], "<u4").tobytes() + vals.tobytes())
+    else:
+        p.write_text(f"{rows},{cols}\n" + "".join(",".join(map(repr, r)) + "\n"
+                                                   for r in vals.tolist()))
+    with pytest.raises(ValidationError) as info:
+        load_matrix(p, fmt)
+    assert str(info.value) == f"{p}: {message}"
 
 
 @pytest.mark.parametrize("raw,message", [

@@ -122,6 +122,37 @@ def test_threshold_correct_case_unconstrained_above_pole():
         assert sg.admissible(sg.SurrogateSpec(10, float(beta), "correct", "plus"))
 
 
+@pytest.mark.parametrize("n", [3, 4, 10, 12])
+def test_admissible_printed_coefficients_and_coefficients_agree(n):
+    # a grid crossing ln(N-1) and ln(N-3), with points on each pole, inside
+    # its POLE_TOL window and just outside it, negative discriminants below
+    # the poles, and both infinities
+    poles = [math.log(n - 1)] + ([math.log(n - 3)] if n > 3 else [])
+    offsets = [0.0, 0.5 * sg.POLE_TOL, -0.5 * sg.POLE_TOL, 2.0 * sg.POLE_TOL, -2.0 * sg.POLE_TOL]
+    betas = [*np.arange(-4.0, 6.0, 0.05).tolist(), *(p + d for p in poles for d in offsets),
+             40.0, -np.inf, np.inf]
+    for case in ("correct", "misclassified"):
+        for branch in ("plus", "minus"):
+            kinds = set()
+            for b in betas:
+                spec = sg.SurrogateSpec(n, b, case, branch)
+                try:
+                    sg.coefficients(spec)
+                    kind = "admissible"
+                except sg.DomainError as e:
+                    kind = "pole" if "pole" in str(e) else "negative discriminant"
+                except sg.SurrogateError:
+                    kind = "inadmissible"
+                ok = sg.admissible(spec)
+                assert type(ok) is bool
+                assert ok == (kind == "admissible"), (case, branch, b, kind)
+                assert ok == (not np.isnan(sg.printed_coefficients(b, n, case, branch)[0]))
+                kinds.add(kind)
+            assert {"admissible", "inadmissible", "pole"} <= kinds
+            if case == "correct" or n == 3:
+                assert "negative discriminant" in kinds
+
+
 # ---------- surrogate vectors and losses ----------
 
 def test_surrogate_logit_patterns():
@@ -438,8 +469,12 @@ def test_symmetric_stationary_contradictions():
         sg.symmetric_stationary(1.0, 10, "correct", 0, 1)
     with pytest.raises(sg.SurrogateError):
         sg.symmetric_stationary(1.0, 10, "misclassified", 0, 0)
-    with pytest.raises(sg.SurrogateError):
+    with pytest.raises(sg.SurrogateError, match="misclassified case needs n_classes >= 3"):
         sg.symmetric_stationary(1.0, 2, "misclassified", 1, 0)
+    with pytest.raises(sg.SurrogateError, match="n_classes must be >= 2"):
+        sg.symmetric_stationary(1.0, 1, "correct", 0, 0)
+    with pytest.raises(sg.SurrogateError, match="unknown case 'wrong'"):
+        sg.symmetric_stationary(1.0, 10, "wrong", 1, 0)
 
 
 # ---------- mean-field surface ----------
@@ -529,14 +564,6 @@ def test_gap_shrinkage_refuses_where_the_surface_is_nan():
 
 # ---------- grid evaluators against the per-beta reference ----------
 
-def _per_beta_admissible(n: int, beta: float, case: str, branch: str) -> bool:
-    """admissible(), with a beta at a pole counted as inadmissible."""
-    try:
-        return sg.admissible(sg.SurrogateSpec(n, beta, case, branch))
-    except sg.DomainError:
-        return False
-
-
 @pytest.mark.parametrize("n,branch", [(4, "plus"), (10, "plus"), (10, "minus"), (12, "minus")])
 def test_grid_evaluators_match_per_beta_reference(n, branch):
     # a grid from 0 to 4 that crosses ln(N-1) and ln(N-3), with points on,
@@ -547,7 +574,7 @@ def test_grid_evaluators_match_per_beta_reference(n, branch):
     er = 0.3
     ref = {}
     for case, true_class in (("correct", 0), ("misclassified", 1)):
-        ok = [_per_beta_admissible(n, float(b), case, branch) for b in grid]
+        ok = [sg.admissible(sg.SurrogateSpec(n, float(b), case, branch)) for b in grid]
         true, other = sg.printed_coefficients(grid, n, case, branch)
         assert np.array_equal(~np.isnan(true), ok) and np.array_equal(~np.isnan(other), ok)
         loss = []
@@ -600,7 +627,7 @@ def test_shrinkage_surface_matches_scalar_on_dense_slices():
     for case, values, betas in slices:
         for b, v in zip(grid.tolist(), values.tolist()):
             params = sg.MeanFieldParams(*betas(b), n, er)
-            if not _per_beta_admissible(n, b, case, "plus"):
+            if not sg.admissible(sg.SurrogateSpec(n, b, case)):
                 assert math.isnan(v)
                 with pytest.raises(sg.SurrogateError):
                     sg.gap_shrinkage(params, 1.0, 1.0)
