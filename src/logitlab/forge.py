@@ -9,7 +9,6 @@ reassigns one matrix's sorted values onto another matrix's class ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -24,22 +23,26 @@ KINDS = ("fix_k_permute", "fix_k_average", "correct_fix_1", "hybrid")
 @dataclass(frozen=True)
 class ManipulationSpec:
     kind: str  # one of KINDS
-    k: Optional[int] = None
-    seed: Optional[int] = None
+    k: int | None = None
+    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValidationError(f"unknown manipulation kind {self.kind!r}")
-        if self.kind.startswith("fix_k") and (self.k is None or self.k < 1):
-            raise ValidationError("fix-k manipulations require k >= 1")
-        if self.kind == "fix_k_permute" and self.seed is None:
-            raise ValidationError("fix_k_permute requires a seed")
+        if self.kind.startswith("fix_k") and not _at_least(self.k, 1):
+            raise ValidationError(f"fix-k manipulations require an integer k >= 1, got {self.k!r}")
+        if (self.kind == "fix_k_permute" or self.seed is not None) and not _at_least(self.seed, 0):
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+
+
+def _at_least(x, low: int) -> bool:
+    return isinstance(x, (int, np.integer)) and x >= low
 
 
 def _rewrite_tail(m: LogitMatrix, k: int, rewrite) -> LogitMatrix:
-    """m with the values below each row's top k replaced by rewrite(b, rest),
-    one block b of rows at a time; rest holds the block's bottom values in
-    column order, one row per row of m."""
+    """m with the values below each row's top k rewritten in place by
+    rewrite(b, rest), one block b of rows at a time; rest holds the block's
+    bottom values in column order, one row per row of m."""
     if k == m.cols:
         return m
     if not (1 <= k <= m.cols):
@@ -47,7 +50,8 @@ def _rewrite_tail(m: LogitMatrix, k: int, rewrite) -> LogitMatrix:
     out = m.values.copy()
     for b in row_blocks(m.rows, m.cols):
         block, bottom = out[b], m.positions[b] >= k
-        block[bottom] = rewrite(b, block[bottom].reshape(-1, m.cols - k)).ravel()
+        rewrite(b, rest := block[bottom].reshape(-1, m.cols - k))
+        block[bottom] = rest.ravel()
     return _adopt(out)
 
 
@@ -55,12 +59,10 @@ def fix_k_permute(m: LogitMatrix, k: int, seed: int) -> LogitMatrix:
     """Keep each row's top-k values in place; permute the rest uniformly.
     Ties keep the lower class index in the top k."""
 
-    def permute(b: slice, rest: np.ndarray) -> np.ndarray:
-        # row r's permutation depends only on (seed, r), as the rng contract fixes
-        perms = np.empty(rest.shape, dtype=np.intp)
-        for i, r in enumerate(range(b.start, b.stop)):
-            perms[i] = substream(seed, r).permutation(rest.shape[1])
-        return np.take_along_axis(rest, perms, axis=1)
+    def permute(b: slice, rest: np.ndarray) -> None:
+        # row r's shuffle depends only on (seed, r), as the rng contract fixes
+        for r, row in zip(range(b.start, b.stop), rest):
+            substream(seed, r).shuffle(row)
 
     return _rewrite_tail(m, k, permute)
 
@@ -68,8 +70,7 @@ def fix_k_permute(m: LogitMatrix, k: int, seed: int) -> LogitMatrix:
 def fix_k_average(m: LogitMatrix, k: int) -> LogitMatrix:
     """Keep each row's top-k values; set the rest to their arithmetic mean.
     Ties keep the lower class index in the top k."""
-    return _rewrite_tail(
-        m, k, lambda _, rest: np.broadcast_to(rest.mean(axis=1)[:, None], rest.shape))
+    return _rewrite_tail(m, k, lambda _, rest: np.copyto(rest, rest.mean(axis=1, keepdims=True)))
 
 
 def correct_fix_1(m: LogitMatrix, labels: LabelVector) -> LogitMatrix:
@@ -100,10 +101,8 @@ def hybrid_merge(value_source: LogitMatrix, index_source: LogitMatrix) -> LogitM
 
 
 def apply_manipulation(
-    spec: ManipulationSpec,
-    m: LogitMatrix,
-    labels: Optional[LabelVector] = None,
-    index_source: Optional[LogitMatrix] = None,
+    spec: ManipulationSpec, m: LogitMatrix,
+    labels: LabelVector | None = None, index_source: LogitMatrix | None = None,
 ) -> LogitMatrix:
     if spec.kind == "fix_k_permute":
         return fix_k_permute(m, spec.k, spec.seed)

@@ -205,10 +205,12 @@ def rank_divergence(a: RankProfile, b: RankProfile, threshold_fraction: float) -
 
 def error_prediction_profile(bundle: DatasetBundle) -> np.ndarray:
     """Histogram over k of how often a misclassified sample's predicted class
-    sits at rank k within its true class's correct-sample mean logit vector.
+    sits at 0-based position k within its true class's correct-sample mean
+    logit vector (descending, ties by class index).
 
-    Rank 1 is the true class itself and collects no mass. Returns an all-zero
-    profile when there are no errors.
+    Index 0 is the true class itself (the argmax of every sample averaged), so
+    it collects no mass; index 1 counts errors that predict the class second
+    in that vector. Returns an all-zero profile when there are no errors.
     """
     logits = bundle.logits.values
     labels = bundle.labels.labels
@@ -270,8 +272,7 @@ def within_class_permuted_overlap(
     perm = np.arange(l1.size)
     for c in np.unique(l1):
         ids = np.flatnonzero(l1 == c)
-        rng = substream(seed, int(c))
-        perm[ids] = ids[rng.permutation(ids.size)]
+        perm[ids] = substream(seed, int(c)).permutation(ids)
     # ranks are per row: the permuted matrix's row r ranks as bundle2's row perm[r]
     return _overlap(bundle1.logits, bundle2.logits, k_max, rows2=perm)
 

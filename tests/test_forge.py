@@ -22,6 +22,28 @@ def test_spec_validation():
         forge.ManipulationSpec("fix_k_permute", k=2)
 
 
+@pytest.mark.parametrize("kind,k,seed,match", [
+    ("fix_k_permute", 1, -1, "seed must be an integer >= 0, got -1"),
+    ("fix_k_permute", 1, 1.0, "seed must be an integer >= 0, got 1.0"),
+    ("fix_k_permute", 1, "3", "seed must be an integer >= 0, got '3'"),
+    ("fix_k_average", 1, -2, "seed must be an integer >= 0, got -2"),
+    ("fix_k_permute", 2.5, 0, "integer k >= 1, got 2.5"),
+    ("fix_k_average", 2.0, None, "integer k >= 1, got 2.0"),
+    ("fix_k_average", "2", None, "integer k >= 1, got '2'"),
+])
+def test_spec_refuses_seeds_and_ks_that_are_not_integers(kind, k, seed, match):
+    # numpy's substream would raise ValueError on the first row, and reshape
+    # a TypeError, instead of one ValidationError before any work
+    with pytest.raises(ValidationError, match=match):
+        forge.ManipulationSpec(kind, k, seed)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = forge.ManipulationSpec("fix_k_permute", np.int64(2), np.uint8(7))
+    m = LogitMatrix(np.random.default_rng(0).standard_normal((4, 5)))
+    assert forge.apply_manipulation(spec, m) == forge.fix_k_permute(m, 2, 7)
+
+
 def test_fix_k_permute_identity_at_full_k():
     rng = np.random.default_rng(0)
     m = LogitMatrix(rng.standard_normal((5, 6)))

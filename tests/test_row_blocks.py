@@ -190,6 +190,7 @@ def test_forge_ops_match_the_whole_matrix_reference(pair):
 
 ROWS, COLS = 20_000, 100   # 15.3 MiB per matrix, about 15 blocks
 MATRIX_BYTES = ROWS * COLS * 8
+BLOCK_BYTES = BLOCK_VALUES // COLS * COLS * 8   # one row block of float64
 
 
 def _peak_bytes(fn):
@@ -229,7 +230,13 @@ def test_forge_ops_stay_under_one_and_a_half_matrices(op):
         "correct_fix_1": lambda: forge.correct_fix_1(m, labels),
         "hybrid": lambda: forge.hybrid_merge(m, other),
     }[op]
-    assert _peak_bytes(run) <= 1.5 * MATRIX_BYTES
+    bound = 1.5 * MATRIX_BYTES
+    if op == "fix_k_permute":
+        # the output, the uint8 positions and 2.5 row blocks, about 1.29
+        # matrices: each tail row is shuffled in place, so a per-block
+        # permutation index array (8 bytes a tail value) would not fit
+        bound = MATRIX_BYTES + ROWS * COLS + 2.5 * BLOCK_BYTES
+    assert _peak_bytes(run) <= bound
 
 
 def test_binary_store_writes_without_copying_the_matrix(tmp_path):
