@@ -17,6 +17,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,13 @@ class _Outputs:
     success an earlier manifest.json is removed, each artifact moves into
     --out, then manifest.json, so a failed move leaves no manifest naming a
     replaced file; on failure the staging directory is deleted, and so is
-    every directory the run made for --out."""
+    every directory the run made for --out.
+
+    The inputs named on the command line that are regular files are hashed on
+    a second thread while the command runs. The rest (a FIFO or a piped
+    /dev/stdin, whose bytes only the loader may read, and the inputs a
+    command names later) and the outputs are hashed on commit, after that
+    thread has ended."""
 
     def __init__(self, args) -> None:
         self.args = args
@@ -87,6 +94,8 @@ class _Outputs:
         self.names: list[str] = []
         self.made = [p for p in (self.out, *self.out.parents) if not p.exists()]
         self.stage = None
+        self.digests: dict = {}
+        self.hasher = None
 
     def path(self, name: str) -> Path:
         self.names.append(name)
@@ -98,13 +107,28 @@ class _Outputs:
     def _open(self) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
         self.stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.out))
+        regular = [p for p in self.inputs if os.path.isfile(p)]
+        self.hasher = threading.Thread(target=self._hash, args=(regular,), daemon=True)
+        self.hasher.start()
+
+    def _hash(self, paths: list) -> None:
+        # an input this thread cannot read is left to the command's own load,
+        # which reports it, and to the hash on commit
+        for p in paths:
+            with contextlib.suppress(OSError):
+                self.digests[p] = _sha256(p)
+
+    def _join(self) -> None:
+        if self.hasher is not None:
+            self.hasher.join()
 
     def _commit(self) -> None:
         # refuse before the first move, so a refused run leaves --out as found
         store.refuse_directories(self.out / n for n in self.names + ["manifest.json"])
+        self._join()
         manifest = {
             "config": {k: v for k, v in vars(self.args).items() if k != "func"},
-            "inputs": {str(p): _sha256(p) for p in self.inputs},
+            "inputs": {str(p): self.digests.get(p) or _sha256(p) for p in self.inputs},
             "outputs": {str(self.out / n): _sha256(self.stage / n) for n in self.names},
         }
         (self.stage / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -114,6 +138,7 @@ class _Outputs:
         self.stage.rmdir()
 
     def _discard(self) -> None:
+        self._join()
         if self.stage is not None:
             shutil.rmtree(self.stage, ignore_errors=True)
         with contextlib.suppress(OSError):  # innermost first; stops at one not empty

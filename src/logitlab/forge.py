@@ -58,6 +58,7 @@ def _rewrite_tail(m: LogitMatrix, k: int, rewrite) -> LogitMatrix:
 def fix_k_permute(m: LogitMatrix, k: int, seed: int) -> LogitMatrix:
     """Keep each row's top-k values in place; permute the rest uniformly.
     Ties keep the lower class index in the top k."""
+    ManipulationSpec("fix_k_permute", k, seed)
 
     def permute(b: slice, rest: np.ndarray) -> None:
         # row r's shuffle depends only on (seed, r), as the rng contract fixes
@@ -70,6 +71,7 @@ def fix_k_permute(m: LogitMatrix, k: int, seed: int) -> LogitMatrix:
 def fix_k_average(m: LogitMatrix, k: int) -> LogitMatrix:
     """Keep each row's top-k values; set the rest to their arithmetic mean.
     Ties keep the lower class index in the top k."""
+    ManipulationSpec("fix_k_average", k)
     return _rewrite_tail(m, k, lambda _, rest: np.copyto(rest, rest.mean(axis=1, keepdims=True)))
 
 

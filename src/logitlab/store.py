@@ -68,8 +68,34 @@ def first_non_finite(x: np.ndarray) -> Optional[tuple[int, int]]:
 
 
 def descending_order(values: np.ndarray) -> np.ndarray:
-    """Indices that sort the last axis by descending value, ties by ascending index."""
-    return np.argsort(-values, axis=-1, kind="stable")
+    """Indices that sort the last axis by descending value, ties by ascending
+    index: np.argsort(-values, axis=-1, kind="stable"), from one unstable sort
+    of packed keys.
+
+    A value's key is the bits of 0.0 - value as an int64 made monotone in the
+    float (0.0 - value, so -0.0 and 0.0 tie), with its low b bits replaced by
+    its index, b the bit length of cols - 1. A row's keys are distinct, so any
+    sort orders them as the stable argsort does wherever neighbours differ in
+    their high bits or in no bit of their value. The rest, rows holding two
+    distinct values within 2**b ulps or a NaN, take the stable argsort."""
+    cols = values.shape[-1]
+    low = (1 << max(cols - 1, 0).bit_length()) - 1
+    v = values.reshape(-1, cols)
+    keys = np.subtract(0.0, v, dtype=np.float64).view(np.int64)
+    keys ^= (keys >> 63) & np.int64(2**63 - 1)  # flip a negative's magnitude bits
+    keys &= ~low
+    keys |= np.arange(cols)
+    keys.sort(axis=-1)
+    near = (keys[:, 1:] ^ keys[:, :-1]).view(np.uint64) <= low  # neighbours sharing high bits
+    order = np.bitwise_and(keys, low, out=keys)
+    nan = np.isnan(v).any(axis=1)
+    check = np.flatnonzero(near.any(axis=1) | nan)
+    if check.size:
+        ranked = v.take(order[check] + cols * check[:, None])
+        unequal = near[check] & (ranked[:, 1:] != ranked[:, :-1])
+        redo = check[nan[check] | unequal.any(axis=1)]
+        order[redo] = np.argsort(-v[redo], axis=-1, kind="stable")
+    return order.reshape(values.shape)
 
 
 def class_positions(values: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -277,6 +279,66 @@ def test_manifest_hashes_the_final_files(dataset, argv):
         [Path(p).name for p in manifest["outputs"]] + ["manifest.json"])
     if argv[0] == "mftma":  # the listing and each cloud file it names
         assert sorted(manifest["inputs"]) == [f"{d}/c0.lgt", f"{d}/c1.lgt", f"{d}/manifolds.txt"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels", "{d}/y.txt"], 0),
+    (["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/no_such_labels.txt"], 3),
+    (["stats", "--logits", "{d}/m.lgt", "--bin-width", "1e-13"], 4),
+], ids=["ok", "missing_labels", "numeric"])
+def test_the_input_hashing_thread_ends_with_the_run(dataset, capsys, monkeypatch, argv, code):
+    # the inputs are hashed on a second thread while the command runs; main
+    # returns only after it has ended, whether the run succeeds or fails
+    d = dataset[0]
+    sha = cli._sha256
+
+    def slow(path):  # off the main thread, still hashing when the command ends
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+        return sha(path)
+
+    monkeypatch.setattr(cli, "_sha256", slow)
+    before = threading.active_count()
+    assert _run(*[a.format(d=d) for a in argv], "--out", str(d / "out")) == code
+    assert threading.active_count() == before
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == (code != 0)
+
+
+def test_a_fifo_input_is_left_to_the_loader_and_hashed_on_commit(dataset, monkeypatch):
+    # a FIFO's bytes go to whoever reads first, so only the loader reads it
+    # while the command runs; the hash on commit reads a second write
+    d = dataset[0]
+    fifo, text = d / "y.fifo", (d / "y.txt").read_bytes()
+    os.mkfifo(fifo)
+    hashed, committing, sha = [], threading.Event(), cli._sha256
+
+    def spy(path):
+        on_main = threading.current_thread() is threading.main_thread()
+        hashed.append((Path(path).name, on_main))
+        if Path(path) == fifo:
+            if not on_main:
+                raise OSError("the loader reads this FIFO")
+            committing.set()
+        return sha(path)
+
+    def write_twice():
+        for _ in range(2):
+            with open(fifo, "wb") as f:
+                f.write(text)
+            committing.wait(timeout=60)
+
+    monkeypatch.setattr(cli, "_sha256", spy)
+    writer = threading.Thread(target=write_twice, daemon=True)
+    writer.start()
+    assert _run("stats", "--logits", str(d / "m.lgt"), "--labels", str(fifo), "--min-count", "5",
+                "--out", str(d / "out")) == 0
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    inputs = [h for h in hashed if h[0] in ("m.lgt", "y.fifo")]
+    assert inputs == [("m.lgt", False), ("y.fifo", True)]
+    manifest = json.loads((d / "out" / "manifest.json").read_text())
+    assert manifest["inputs"][str(fifo)] == hashlib.sha256(text).hexdigest()
 
 
 @pytest.mark.parametrize("fail_at", range(4))
@@ -555,11 +617,11 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 sys.exit(code)"""
 
 
-def _python(*args):
+def _python(*args, stdin=None):
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+                          timeout=120, input=stdin)
 
 
 @pytest.mark.parametrize("argv", [
@@ -587,3 +649,17 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0 and proc.stdout.startswith("usage: logitlab stats")
     proc = _python("-m", "logitlab", "stats", "--nonsense")
     assert proc.returncode == 2 and proc.stderr.count("\n") == 1
+
+
+def test_a_piped_input_reaches_the_loader_whole(dataset):
+    # /dev/stdin is a pipe here, not a regular file, so the thread that hashes
+    # the inputs while the command runs leaves it to the loader
+    d = dataset[0]
+    outs = {}
+    for name, source, stdin in [("piped", "/dev/stdin", (d / "y.txt").read_text()),
+                                ("file", str(d / "y.txt"), None)]:
+        proc = _python("-m", "logitlab", "stats", "--logits", str(d / "m.lgt"), "--labels",
+                       source, "--min-count", "5", "--out", str(d / name), stdin=stdin)
+        assert proc.returncode == 0, proc.stderr
+        outs[name] = {p.name: p.read_bytes() for p in (d / name).glob("*.csv")}
+    assert len(outs["piped"]) == 4 and outs["piped"] == outs["file"]

@@ -38,6 +38,22 @@ def test_spec_refuses_seeds_and_ks_that_are_not_integers(kind, k, seed, match):
         forge.ManipulationSpec(kind, k, seed)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda m: forge.fix_k_permute(m, 1, None), "seed must be an integer >= 0, got None"),
+    (lambda m: forge.fix_k_permute(m, 1, -1), "seed must be an integer >= 0, got -1"),
+    (lambda m: forge.fix_k_permute(m, 2.5, 0), "integer k >= 1, got 2.5"),
+    (lambda m: forge.fix_k_average(m, 2.5), "integer k >= 1, got 2.5"),
+    (lambda m: forge.fix_k_average(m, 4.0), "integer k >= 1, got 4.0"),
+], ids=["permute_seed_none", "permute_seed_negative", "permute_k_float", "average_k_float",
+        "average_k_float_at_cols"])
+def test_fix_k_calls_refuse_what_the_spec_refuses(call, match):
+    # a None seed drew OS entropy, so every call gave another result; -1 and
+    # 2.5 leaked numpy's ValueError and TypeError; 4.0 == cols returned m
+    m = LogitMatrix(np.arange(12.0).reshape(3, 4))
+    with pytest.raises(ValidationError, match=match):
+        call(m)
+
+
 def test_spec_accepts_numpy_integers():
     spec = forge.ManipulationSpec("fix_k_permute", np.int64(2), np.uint8(7))
     m = LogitMatrix(np.random.default_rng(0).standard_normal((4, 5)))

@@ -31,6 +31,8 @@ from logitlab.store import (
     ParseError,
     RobustFlags,
     ValidationError,
+    class_positions,
+    descending_order,
     first_non_finite,
     load_matrix,
     store_flags,
@@ -129,21 +131,68 @@ def _same_bits(a, b):
 
 # ---------- cached class positions ----------
 
-@pytest.mark.parametrize("cols,dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
-@pytest.mark.parametrize("kind", ["random", "rounded", "all_equal", "signed_zero"])
-def test_positions_invert_the_stable_descending_order(cols, dtype, kind):
-    rng = np.random.default_rng(cols)
-    rows = _ragged_rows(cols)
+def _near_ties(rng, rows, cols):
+    """Odd rows: standard normal with one pair of 1-ulp neighbours. Even rows:
+    a cluster of values at most 2 * cols ulps from one value, so that distinct
+    values share their high bits, beside exact ties."""
+    v = rng.standard_normal((rows, cols))
+    v[1::2, -1] = np.nextafter(v[1::2, 0], np.inf)
+    steps = rng.integers(-2 * cols, 2 * cols, size=v[::2].shape)
+    v[::2] = (v[::2, :1].view(np.int64) + steps).view(np.float64)
+    return v
+
+
+def _specials(rng, rows, cols, pool, share):
+    """Standard normal values with about share of the cells drawn from pool."""
+    v = rng.standard_normal((rows, cols))
+    pick = rng.random((rows, cols)) < share
+    v[pick] = rng.choice(pool, size=int(pick.sum()))
+    return v
+
+
+BIG, NEG_NAN = np.finfo(np.float64).max, np.copysign(np.nan, -1.0)
+EXTREMES = [np.inf, -np.inf, BIG, -BIG, 5e-324, -5e-324, 1e-310, -1e-310, 0.0, -0.0]
+
+
+def _rank_input(kind, rng, rows, cols):
     v = {
         "random": lambda: rng.standard_normal((rows, cols)),
         "rounded": lambda: np.round(rng.standard_normal((rows, cols))),
         "all_equal": lambda: np.full((rows, cols), 2.5),
         "signed_zero": lambda: rng.choice([-0.0, 0.0], size=(rows, cols)),
+        "near_tie": lambda: _near_ties(rng, rows, cols),
+        "inf_subnormal": lambda: _specials(rng, rows, cols, EXTREMES, 0.3),
+        "nan": lambda: _specials(rng, rows, cols, [np.nan, NEG_NAN, np.inf, 0.0], 0.02),
     }[kind]()
-    m = LogitMatrix(v)
-    assert m.positions.dtype == dtype and not m.positions.flags.writeable
-    assert np.array_equal(m.positions, _ref_positions(v))
-    assert m.positions is m.positions  # computed once
+    if kind == "nan":
+        v[4:5] = NEG_NAN  # an all-NaN row, where there is a fifth row
+    return v
+
+
+RANK_KINDS = ["random", "rounded", "all_equal", "signed_zero", "near_tie", "inf_subnormal", "nan"]
+
+
+@pytest.mark.parametrize("cols,dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16),
+                                        (1000, np.uint16)])
+@pytest.mark.parametrize("kind", RANK_KINDS)
+def test_positions_invert_the_stable_descending_order(cols, dtype, kind):
+    rng = np.random.default_rng(cols)
+    v = _rank_input(kind, rng, _ragged_rows(cols), cols)
+    positions = class_positions(v)
+    assert positions.dtype == dtype
+    assert np.array_equal(positions, _ref_positions(v))
+    if np.isfinite(v).all():  # a LogitMatrix holds finite values only
+        m = LogitMatrix(v)
+        assert not m.positions.flags.writeable
+        assert np.array_equal(m.positions, positions)
+        assert m.positions is m.positions  # computed once
+
+
+@pytest.mark.parametrize("kind", RANK_KINDS)
+def test_descending_order_of_one_long_row_is_the_stable_argsort(kind):
+    # cosine_neighbors' use: 20k similarities, 15 index bits
+    v = _rank_input(kind, np.random.default_rng(20_000), 1, 20_000)[0]
+    assert np.array_equal(descending_order(v), np.argsort(-v, kind="stable"))
 
 
 # ---------- AO@k and forge, bit for bit ----------
