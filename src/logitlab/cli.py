@@ -2,7 +2,7 @@
 
 Every analysis is a subcommand. A run that succeeds writes its outputs to
 --out plus a manifest recording the configuration, the seed, and SHA-256
-hashes of all input and output files; a run that fails leaves --out as it
+hashes of every file it read and wrote; a run that fails leaves --out as it
 found it. Exit codes: 0 success, 2 usage error, 3 input error (an --out that
 cannot be written included), 4 numeric/domain error.
 """
@@ -17,7 +17,6 @@ import os
 import shutil
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,6 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 MAX_BETAS = 1000  # per analytic grid axis; the surface CSVs hold MAX_BETAS**2 rows
 MAX_CLASSES = 1000  # analytic's surfaces hold MAX_BETAS x MAX_CLASSES logits per case
-# the parser options that name an input file; the manifest hashes each one given
-_INPUT_OPTIONS = ("logits", "logits2", "labels", "flags", "index_source", "manifolds")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,21 +78,17 @@ class _Outputs:
     replaced file; on failure the staging directory is deleted, and so is
     every directory the run made for --out.
 
-    The inputs named on the command line that are regular files are hashed on
-    a second thread while the command runs. The rest (a FIFO or a piped
-    /dev/stdin, whose bytes only the loader may read, and the inputs a
-    command names later) and the outputs are hashed on commit, after that
-    thread has ended."""
+    While the command runs, store.reads holds this run's dict, so the manifest
+    lists the files the loaders read, hashed from the bytes they read; the
+    outputs are hashed on commit from the staged files."""
 
     def __init__(self, args) -> None:
         self.args = args
         self.out = Path(args.out)
-        self.inputs = [v for v in (getattr(args, k, None) for k in _INPUT_OPTIONS) if v]
         self.names: list[str] = []
         self.made = [p for p in (self.out, *self.out.parents) if not p.exists()]
         self.stage = None
-        self.digests: dict = {}
-        self.hasher = None
+        self.reads: dict = {}
 
     def path(self, name: str) -> Path:
         self.names.append(name)
@@ -107,28 +100,13 @@ class _Outputs:
     def _open(self) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
         self.stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.out))
-        regular = [p for p in self.inputs if os.path.isfile(p)]
-        self.hasher = threading.Thread(target=self._hash, args=(regular,), daemon=True)
-        self.hasher.start()
-
-    def _hash(self, paths: list) -> None:
-        # an input this thread cannot read is left to the command's own load,
-        # which reports it, and to the hash on commit
-        for p in paths:
-            with contextlib.suppress(OSError):
-                self.digests[p] = _sha256(p)
-
-    def _join(self) -> None:
-        if self.hasher is not None:
-            self.hasher.join()
 
     def _commit(self) -> None:
         # refuse before the first move, so a refused run leaves --out as found
         store.refuse_directories(self.out / n for n in self.names + ["manifest.json"])
-        self._join()
         manifest = {
             "config": {k: v for k, v in vars(self.args).items() if k != "func"},
-            "inputs": {str(p): self.digests.get(p) or _sha256(p) for p in self.inputs},
+            "inputs": {p: digest.hexdigest() for p, digest in self.reads.items()},
             "outputs": {str(self.out / n): _sha256(self.stage / n) for n in self.names},
         }
         (self.stage / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -138,7 +116,6 @@ class _Outputs:
         self.stage.rmdir()
 
     def _discard(self) -> None:
-        self._join()
         if self.stage is not None:
             shutil.rmtree(self.stage, ignore_errors=True)
         with contextlib.suppress(OSError):  # innermost first; stops at one not empty
@@ -154,9 +131,11 @@ class _Outputs:
 
     def __enter__(self) -> _Outputs:
         self._guard(self._open)
+        self.token = store.reads.set(self.reads)
         return self
 
     def __exit__(self, kind, *_) -> None:
+        store.reads.reset(self.token)
         if kind is None:
             self._guard(self._commit)
         else:
@@ -257,7 +236,6 @@ def _cmd_mftma(args, outputs: _Outputs) -> None:
     for name in files:
         p = Path(args.manifolds).parent / name  # an absolute name stays as it is
         clouds.append(store.load_matrix(p, args.format).values)
-        outputs.inputs.append(p)
     mset = mftma.ManifoldSet(tuple(clouds))
     if args.project_centers:
         mset = mftma.project_null_centers(mset)

@@ -290,12 +290,6 @@ def jacobian_block(problem: ResponseProblem, mu: int) -> np.ndarray:
     return np.outer(z[mu], rxt[:, 0]) + rxt[:, 1:].T
 
 
-def jj_transpose(problem: ResponseProblem, mu: int) -> np.ndarray:
-    """Gram matrix Jac^mu (Jac^mu)^T of the mu-th sample's Jacobian."""
-    jac = jacobian_block(problem, mu)
-    return jac @ jac.T
-
-
 def _attack(problem: ResponseProblem) -> tuple[np.ndarray, np.ndarray]:
     """For every sample, JJ^T_mu g_mu and zeta_mu.
 

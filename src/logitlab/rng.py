@@ -13,5 +13,7 @@ import numpy as np
 
 def substream(seed: int, *coords: int) -> np.random.Generator:
     """Return a generator for the substream identified by (seed, *coords)."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:  # None: OS entropy
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(coords))
     return np.random.Generator(np.random.Philox(ss))

@@ -183,7 +183,8 @@ def confidence_ranks(bundle: DatasetBundle, class_index: int) -> RankProfile:
     conf = probs.max(axis=1)
     # ids ascend, so ties in confidence keep ascending sample id; int64, as
     # rank_divergence subtracts ranks and an unsigned dtype would wrap
-    ranks = class_positions(conf[None])[0].astype(np.int64)
+    ranks = np.empty(ids.size, dtype=np.int64)
+    ranks[descending_order(conf)] = np.arange(ids.size)
     return RankProfile(sample_ids=ids, ranks=ranks)
 
 

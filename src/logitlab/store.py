@@ -10,19 +10,24 @@ values printed with 17 significant digits, enough to round-trip any double.
 Labels and flags are one integer per line. One line reader, read_lines, reads
 every text input: matrices, labels, flags, manifold listings and report's CSVs.
 A numeric cell holds ASCII only, no digit separator "_" and no whitespace but
-spaces and tabs (lenient).
+spaces and tabs (lenient). A matrix must be a regular file, whose size bounds
+its header's promise before any allocation; other inputs may be pipes. While
+`reads` holds a dict (the CLI sets one per command), each load keeps there the
+SHA-256 of exactly the bytes it reads, under str(path).
 """
 
 from __future__ import annotations
 
 import errno
+import hashlib
 import os
 import struct
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +35,7 @@ MAGIC = b"LGT1"
 # Values per block of a row-blocked whole-matrix kernel: 1 MiB of float64.
 BLOCK_VALUES = 1 << 17
 READ_BYTES = 4 * BLOCK_VALUES  # per read of a text input: half a block of float64
+reads: ContextVar[Optional[dict]] = ContextVar("reads", default=None)
 
 
 class StoreError(Exception):
@@ -234,6 +240,16 @@ def validate_bundle(
     return DatasetBundle(logits, labels, flags)
 
 
+def _recorder(path: str | Path) -> Callable[[object], None]:
+    """The update of a SHA-256 begun afresh under str(path) in reads, or a
+    no-op when reads is unset; a loader passes it each buffer it reads."""
+    seen = reads.get()
+    if seen is None:
+        return lambda data: None
+    seen[str(path)] = digest = hashlib.sha256()
+    return digest.update
+
+
 def refuse_directories(paths: Iterable[Path]) -> None:
     """IsADirectoryError for the first path that is an existing directory, so
     a write of several files can refuse before it writes the first."""
@@ -275,6 +291,9 @@ def load_matrix(path: str | Path, format: str = "binary") -> LogitMatrix:
     path = Path(path)
     if format not in ("binary", "text"):
         raise ValueError(f"unknown format {format!r}")
+    # stat, never open, so a FIFO does not block; a missing path or a directory: "cannot read"
+    if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        raise StoreError(f"{path}: a logit matrix must be a regular file")
     try:
         return _load_binary(path) if format == "binary" else _load_text(path)
     except ValidationError as e:  # a shape error; a non-finite value is a ParseError
@@ -282,9 +301,11 @@ def load_matrix(path: str | Path, format: str = "binary") -> LogitMatrix:
 
 
 def _load_binary(path: Path) -> LogitMatrix:
+    record = _recorder(path)
     try:
         with open(path, "rb") as f:
             head = f.read(12)
+            record(head)
             if len(head) < 12 or head[:4] != MAGIC:
                 raise ParseError(f"{path}: missing LGT1 header")
             rows, cols = struct.unpack("<II", head[4:12])
@@ -293,6 +314,7 @@ def _load_binary(path: Path) -> LogitMatrix:
             if payload == size:  # checked before the array is allocated
                 vals = np.empty((rows, cols), dtype="<f8")
                 payload = f.readinto(vals)
+                record(vals.view(np.uint8).reshape(-1)[:payload])
     except OSError as e:
         raise StoreError(f"cannot read {path}: {e}") from e
     if payload != size:
@@ -343,9 +365,11 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     a blank line holds only spaces and tabs, so a line of other whitespace
     reaches its parser. Decodes READ_BYTES of whole lines at a time."""
     i = 1
+    record = _recorder(path)
     try:
         with open(path, "rb") as f:
             while data := f.read(READ_BYTES) + f.readline():
+                record(data)
                 try:
                     text = data.decode()
                 except UnicodeDecodeError as e:  # named by its offset in the file

@@ -2,10 +2,10 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import logitlab
-from logitlab import cli, stats
+from logitlab import cli, stats, store
 from logitlab.store import (
     LabelVector,
     LogitMatrix,
@@ -281,62 +281,57 @@ def test_manifest_hashes_the_final_files(dataset, argv):
         assert sorted(manifest["inputs"]) == [f"{d}/c0.lgt", f"{d}/c1.lgt", f"{d}/manifolds.txt"]
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels", "{d}/y.txt"], 0),
-    (["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/no_such_labels.txt"], 3),
-    (["stats", "--logits", "{d}/m.lgt", "--bin-width", "1e-13"], 4),
-], ids=["ok", "missing_labels", "numeric"])
-def test_the_input_hashing_thread_ends_with_the_run(dataset, capsys, monkeypatch, argv, code):
-    # the inputs are hashed on a second thread while the command runs; main
-    # returns only after it has ended, whether the run succeeds or fails
-    d = dataset[0]
-    sha = cli._sha256
+@pytest.mark.parametrize("argv,code,loads", [
+    (["overlap", "--logits", "{d}/m.lgt", "--logits2", "{d}/m.lgt", "--labels", "{d}/y.txt",
+      "--out", "{d}/out"], 0, 2),
+    (["stats", "--logits", "{d}/m.lgt", "--labels", "{d}/no_such_labels.txt", "--out", "{d}/out"],
+     3, 1),
+    (["stats", "--logits", "{d}/m.lgt", "--bin-width", "1e-13", "--out", "{d}/out"], 4, 1),
+    (["stats", "--logits", "{d}/m.lgt", "--out", "{d}/m.lgt/sub"], 3, 0),
+], ids=["ok", "missing_labels", "numeric", "out_not_made"])
+def test_a_run_leaves_no_thread_and_no_recorder(dataset, capsys, monkeypatch, argv, code, loads):
+    # the run's recorder of input reads is unset on every way out, so a
+    # library load after it is recorded nowhere
+    d, runs = dataset[0], []
+    load = store.load_matrix
 
-    def slow(path):  # off the main thread, still hashing when the command ends
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.2)
-        return sha(path)
+    def spy(*args):
+        runs.append(store.reads.get())
+        return load(*args)
 
-    monkeypatch.setattr(cli, "_sha256", slow)
+    monkeypatch.setattr(store, "load_matrix", spy)
     before = threading.active_count()
-    assert _run(*[a.format(d=d) for a in argv], "--out", str(d / "out")) == code
+    assert _run(*[a.format(d=d) for a in argv]) == code
     assert threading.active_count() == before
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("\n") == (code != 0)
+    assert store.reads.get() is None
+    recorded = [dict(r) for r in runs]  # the run's recorder, as each matrix load saw it
+    assert len(recorded) == loads and all(recorded)
+    load_matrix(d / "big.lgt")
+    assert store.reads.get() is None and [dict(r) for r in runs] == recorded
 
 
-def test_a_fifo_input_is_left_to_the_loader_and_hashed_on_commit(dataset, monkeypatch):
-    # a FIFO's bytes go to whoever reads first, so only the loader reads it
-    # while the command runs; the hash on commit reads a second write
+def test_a_fifo_input_written_once_is_hashed_from_the_bytes_the_loader_read(dataset):
+    # a FIFO gives its bytes to one reader once: the manifest must not read it again
     d = dataset[0]
     fifo, text = d / "y.fifo", (d / "y.txt").read_bytes()
     os.mkfifo(fifo)
-    hashed, committing, sha = [], threading.Event(), cli._sha256
 
-    def spy(path):
-        on_main = threading.current_thread() is threading.main_thread()
-        hashed.append((Path(path).name, on_main))
-        if Path(path) == fifo:
-            if not on_main:
-                raise OSError("the loader reads this FIFO")
-            committing.set()
-        return sha(path)
+    def write_once():
+        with open(fifo, "wb") as f:
+            f.write(text)
 
-    def write_twice():
-        for _ in range(2):
-            with open(fifo, "wb") as f:
-                f.write(text)
-            committing.wait(timeout=60)
-
-    monkeypatch.setattr(cli, "_sha256", spy)
-    writer = threading.Thread(target=write_twice, daemon=True)
+    writer = threading.Thread(target=write_once, daemon=True)
     writer.start()
-    assert _run("stats", "--logits", str(d / "m.lgt"), "--labels", str(fifo), "--min-count", "5",
-                "--out", str(d / "out")) == 0
-    writer.join(timeout=60)
-    assert not writer.is_alive()
-    inputs = [h for h in hashed if h[0] in ("m.lgt", "y.fifo")]
-    assert inputs == [("m.lgt", False), ("y.fifo", True)]
+    try:
+        proc = _python("-m", "logitlab", "stats", "--logits", str(d / "m.lgt"), "--labels",
+                       str(fifo), "--min-count", "5", "--out", str(d / "out"), timeout=30)
+    finally:  # a run that never opened the FIFO leaves the writer blocked: release it
+        if writer.is_alive():
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert proc.returncode == 0, proc.stderr
     manifest = json.loads((d / "out" / "manifest.json").read_text())
     assert manifest["inputs"][str(fifo)] == hashlib.sha256(text).hexdigest()
 
@@ -617,11 +612,11 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 sys.exit(code)"""
 
 
-def _python(*args, stdin=None):
+def _python(*args, stdin=None, timeout=120):
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120, input=stdin)
+                          timeout=timeout, input=stdin)
 
 
 @pytest.mark.parametrize("argv", [
@@ -652,14 +647,48 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_a_piped_input_reaches_the_loader_whole(dataset):
-    # /dev/stdin is a pipe here, not a regular file, so the thread that hashes
-    # the inputs while the command runs leaves it to the loader
+    # /dev/stdin is a pipe here: its bytes reach the loader once, and the
+    # manifest's digest is of those bytes
     d = dataset[0]
-    outs = {}
-    for name, source, stdin in [("piped", "/dev/stdin", (d / "y.txt").read_text()),
+    outs, text = {}, (d / "y.txt").read_text()
+    for name, source, stdin in [("piped", "/dev/stdin", text),
                                 ("file", str(d / "y.txt"), None)]:
         proc = _python("-m", "logitlab", "stats", "--logits", str(d / "m.lgt"), "--labels",
                        source, "--min-count", "5", "--out", str(d / name), stdin=stdin)
         assert proc.returncode == 0, proc.stderr
         outs[name] = {p.name: p.read_bytes() for p in (d / name).glob("*.csv")}
     assert len(outs["piped"]) == 4 and outs["piped"] == outs["file"]
+    manifest = json.loads((d / "piped" / "manifest.json").read_text())
+    assert manifest["inputs"]["/dev/stdin"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_a_piped_matrix_is_refused_as_not_a_regular_file(dataset, capsys, fmt):
+    # a matrix's file size bounds its allocation before it is read, so a pipe
+    # is refused by its file type, before anything is read from it
+    d = dataset[0]
+    store_matrix(LogitMatrix(dataset[1][:20]), d / "m.any", fmt)  # fits in the pipe
+    r, w = os.pipe()
+    try:
+        os.write(w, (d / "m.any").read_bytes())
+        os.close(w)
+        source = f"/dev/fd/{r}"
+        assert _run("stats", "--logits", source, "--format", fmt, "--out", str(d / "out")) == 3
+        assert os.read(r, 4) == (d / "m.any").read_bytes()[:4]  # left unread
+    finally:
+        os.close(r)
+    assert capsys.readouterr().err == (
+        f"error: input: {source}: a logit matrix must be a regular file\n")
+    assert not (d / "out").exists()
+    for path in (d / "no_such.lgt", d):  # a missing path and a directory: as before
+        with pytest.raises(store.StoreError, match=re.escape(f"cannot read {path}: ")):
+            load_matrix(path, fmt)
+
+
+def test_a_fifo_matrix_is_refused_without_waiting_for_a_writer(dataset):
+    d = dataset[0]
+    os.mkfifo(d / "m.fifo")
+    proc = _python("-m", "logitlab", "stats", "--logits", str(d / "m.fifo"), "--out",
+                   str(d / "out"), timeout=30)
+    assert (proc.returncode, proc.stderr) == (
+        3, f"error: input: {d}/m.fifo: a logit matrix must be a regular file\n")

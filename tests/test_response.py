@@ -21,6 +21,12 @@ def _problem(n_data=20, n_feats=8, n_classes=5, sigma0=1e-3, c=1.0, seed=0):
     return rp.ResponseProblem(X=x, Z_tilde=z, labels=labels, sigma0=sigma0, c=c)
 
 
+def _jj(p, mu):
+    """JJ^T of sample mu, formed from its Jacobian."""
+    jac = rp.jacobian_block(p, mu)
+    return jac @ jac.T
+
+
 def test_problem_validation():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 3))  # not unit-normalized
@@ -263,7 +269,7 @@ def test_jj_transpose_product_symmetry_psd():
         b = z.T @ omega[:, mu]
         expect = (omega[mu, mu] * np.outer(z[mu], z[mu]) + z.T @ omega @ z
                   + np.outer(z[mu], b) + np.outer(b, z[mu]))
-        jj = rp.jj_transpose(p, mu)
+        jj = _jj(p, mu)
         assert np.abs(jj - expect).max() < 1e-10
         assert np.abs(jj - jj.T).max() < 1e-12
         assert np.linalg.eigvalsh(jj).min() >= -1e-10
@@ -338,7 +344,7 @@ def test_fgsm_normalization():
     y = np.zeros(p.Z_tilde.shape[1])
     y[p.labels.labels[mu]] = 1.0
     g = softmax(p.Z_tilde[mu]) - y
-    jj = rp.jj_transpose(p, mu)
+    jj = _jj(p, mu)
     expect = eps * jj @ g / np.sqrt(g @ jj @ g)
     assert np.allclose(dz[mu], expect, atol=1e-12)
 
@@ -413,7 +419,7 @@ def test_spectral_state_oracles_on_wide_and_square_designs(n_data, n_feats, c):
             xm = x.copy(); xm[mu, j] -= h
             fd[:, j] = (z.T @ xp @ r @ xp[mu] - z.T @ xm @ r @ xm[mu]) / (2 * h)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) < 1e-5
-        jj = rp.jj_transpose(p, mu)
+        jj = _jj(p, mu)
         assert np.abs(jj - fd @ fd.T).max() < 1e-8 * np.abs(jj).max()
         assert np.abs(jj - jj.T).max() < 1e-12
 
@@ -427,7 +433,7 @@ def test_fgsm_rows_match_jj_transpose_for_every_sample(n_data, n_feats, c):
     y = np.eye(p.Z_tilde.shape[1])[p.labels.labels]
     g = softmax(p.Z_tilde) - y
     for mu in range(n_data):
-        jj = rp.jj_transpose(p, mu)
+        jj = _jj(p, mu)
         expect = eps * jj @ g[mu] / np.sqrt(g[mu] @ jj @ g[mu])
         assert np.allclose(dz[mu], expect, atol=1e-12)
 

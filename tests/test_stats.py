@@ -9,6 +9,7 @@ from logitlab.store import (
     LabelVector,
     LogitMatrix,
     RobustFlags,
+    class_positions,
     validate_bundle,
 )
 
@@ -268,6 +269,18 @@ def test_rank_sort_oracle_and_shift_invariance():
     assert prof.ranks.tolist() == expect.tolist()
     shifted = _bundle(vals + rng.standard_normal((20, 1)), labels)
     assert stats.confidence_ranks(shifted, 0).ranks.tolist() == prof.ranks.tolist()
+
+
+def test_rank_ties_match_class_positions():
+    # repeated rows tie in confidence: tied samples rank by ascending sample
+    # id, as class_positions ranks a row's tied columns by ascending column
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((4, 5))[rng.integers(0, 4, 40)]  # four distinct rows
+    labels = rng.integers(0, 2, 40)
+    prof = stats.confidence_ranks(_bundle(vals, labels), 1)
+    conf = stats.softmax(vals[labels == 1]).max(axis=1)
+    assert len(set(conf)) < conf.size and prof.ranks.dtype == np.int64
+    assert prof.ranks.tolist() == class_positions(conf[None])[0].tolist()
 
 
 def test_empty_class_error():
