@@ -53,7 +53,7 @@ _int, _float = _number(int), _number(float)
 
 
 def _seed(text: str) -> int:
-    """A --seed value: a nonnegative integer, as numpy's SeedSequence requires."""
+    """A --seed value: a nonnegative integer, as rng.substream requires of a seed."""
     try:
         seed = _int(text)
     except ValueError:

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from logitlab import cli, forge, report, response, stats
-from logitlab.rng import substream
 from logitlab.store import (
     BLOCK_VALUES,
     MAGIC,
@@ -61,11 +60,16 @@ def _ref_average_overlap(v1, v2, k_max):
     return np.cumsum(shared / (n * depth)) / depth
 
 
+def _ref_stream(seed, *coords):
+    # the rng contract's definition, built without logitlab.rng
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=coords)))
+
+
 def _ref_permuted_overlap(v1, v2, labels, k_max, seed):
     perm = np.arange(labels.size)
     for c in np.unique(labels):
         ids = np.flatnonzero(labels == c)
-        perm[ids] = ids[substream(seed, int(c)).permutation(ids.size)]
+        perm[ids] = ids[_ref_stream(seed, int(c)).permutation(ids.size)]
     return _ref_average_overlap(v1, v2[perm], k_max)
 
 
@@ -79,7 +83,7 @@ def _ref_fix_k_permute(v, k, seed):
     bottom, rest = _ref_bottom(v, k)
     perms = np.empty(rest.shape, dtype=np.intp)
     for r in range(v.shape[0]):
-        perms[r] = substream(seed, r).permutation(rest.shape[1])
+        perms[r] = _ref_stream(seed, r).permutation(rest.shape[1])
     out = v.copy()
     out[bottom] = np.take_along_axis(rest, perms, axis=1).ravel()
     return out
